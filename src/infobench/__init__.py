@@ -58,14 +58,10 @@ from .perf import (
 )
 from .synth import (
     Archetype,
-    OracleRangeError,
     SynthSpec,
     exact_table,
     fixture_suite,
     generate,
-    oracle_best_subset,
-    oracle_greedy_select,
-    oracle_info_gain,
     sampled_table,
 )
 
@@ -85,7 +81,6 @@ __all__ = [
     "MetricKey",
     "NOISE_MODES",
     "NegativeMarginal",
-    "OracleRangeError",
     "ParseError",
     "PerformanceStat",
     "PerformanceTable",
@@ -111,9 +106,6 @@ __all__ = [
     "log_weight_matrix",
     "metric_keys_for",
     "mutual_information",
-    "oracle_best_subset",
-    "oracle_greedy_select",
-    "oracle_info_gain",
     "parse_records",
     "parse_records_path",
     "sampled_table",

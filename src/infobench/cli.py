@@ -11,19 +11,18 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .cluster import CorrelationMatrix, cluster, correlation_matrix
+from .cluster import DEFAULT_THRESHOLD, CorrelationMatrix, cluster, correlation_matrix
 from .confusion import NOISE_MODES, confusion
 from .errors import DomainError, InputError
 from .heatmap import render_heatmap
 from .infogain import (
+    EPS_GAIN,
     SELECTION_MODES,
     greedy_select,
     info_gain_set,
@@ -41,7 +40,7 @@ from .perf import (
     stats_json_document,
     write_stats_csv,
 )
-from .synth import ARCHETYPE_KINDS, Archetype, SynthSpec, generate
+from .synth import Archetype, SynthSpec, generate
 
 ALL_FORMATS = ("csv", "json", "svg")
 
@@ -49,46 +48,7 @@ ARCHETYPE_CHOICES = ("identical", "linear", "two-cluster", "delayed", "mixed")
 
 _MIXED_CYCLE = ("linear", "two_cluster", "delayed")
 
-
-@dataclass
-class RunConfig:
-    """Resolved settings for one command run (flags > config file > defaults)."""
-
-    input: str | None = None
-    stats: str | None = None
-    out: Path = Path(".")
-    formats: tuple[str, ...] = ("csv", "json", "svg")
-    metric: str = "combined"
-    k: int = 10
-    sigma_floor: float = SIGMA_FLOOR_DEFAULT
-    eps_gain: float = 1e-9
-    noise: str = "sum"
-    threshold: float = 0.8
-    allow_missing: bool = False
-    per_key: bool = False
-    problems_list: tuple[str, ...] = ()
-    agents: int = 5
-    problems: int = 10
-    archetype: str = "mixed"
-    gap: float = 10.0
-    sigma: float = 1.0
-    samples: int = 1000
-    seed: int = 0
-
-    def __post_init__(self):
-        for name in ("k", "agents", "problems", "samples"):
-            if getattr(self, name) < 1:
-                raise InputError(f"{name} must be a positive integer")
-        for name in ("sigma_floor", "eps_gain", "threshold", "gap", "sigma"):
-            if not getattr(self, name) > 0:
-                raise InputError(f"{name} must be strictly positive")
-        if self.metric not in SELECTION_MODES:
-            raise InputError(f"metric must be one of {SELECTION_MODES}")
-        if self.noise not in NOISE_MODES:
-            raise InputError(f"noise must be one of {NOISE_MODES}")
-        bad = [f for f in self.formats if f not in ALL_FORMATS]
-        if bad:
-            raise InputError(f"unknown output format(s): {', '.join(bad)}")
+_DEFAULT = " (default: %(default)s)"
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -119,50 +79,45 @@ def _cast_bool(raw: str) -> bool:
         raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _resolve(flag_value, config: dict[str, str], key: str, default, cast):
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        try:
-            return cast(config[key])
-        except ValueError as exc:
-            raise InputError(f"config key {key!r}: {exc}")
-    return default
-
-
-def _formats_from(text: str) -> tuple[str, ...]:
+def _comma_list(text: str) -> tuple[str, ...]:
     return tuple(f.strip() for f in text.split(",") if f.strip())
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    config = _read_config_file(args.config) if args.config else {}
-    get = lambda name, default, cast: _resolve(
-        getattr(args, name.replace("-", "_"), None), config, name, default, cast
-    )
-    return RunConfig(
-        input=getattr(args, "input", None),
-        stats=getattr(args, "stats", None),
-        out=Path(get("out", ".", str)),
-        formats=get("format", ALL_FORMATS, _formats_from),
-        metric=get("metric", "combined", str),
-        k=get("k", 10, int),
-        sigma_floor=get("sigma-floor", SIGMA_FLOOR_DEFAULT, float),
-        eps_gain=get("eps-gain", 1e-9, float),
-        noise=get("noise", "sum", str),
-        threshold=get("threshold", 0.8, float),
-        allow_missing=get("allow-missing", False, _cast_bool),
-        per_key=get("per-key", False, _cast_bool),
-        problems_list=tuple(
-            p.strip() for p in (getattr(args, "problems_list", None) or "").split(",") if p.strip()
-        ),
-        agents=get("agents", 5, int),
-        problems=get("problems", 10, int),
-        archetype=get("archetype", "mixed", str),
-        gap=get("gap", 10.0, float),
-        sigma=get("sigma", 1.0, float),
-        samples=get("samples", 1000, int),
-        seed=get("seed", 0, int),
-    )
+def _config_defaults(command: argparse.ArgumentParser, config: dict[str, str]) -> dict:
+    """Typed defaults for one subcommand from config entries keyed by long
+    flag name without ``--``.  Keys the command does not take, and its
+    required options, are ignored."""
+    defaults = {}
+    for action in command._actions:
+        if not action.option_strings or action.dest in ("help", "config") or action.required:
+            continue
+        key = action.option_strings[0].lstrip("-")
+        if key not in config:
+            continue
+        try:
+            if action.nargs == 0:  # store_true flag
+                value = _cast_bool(config[key])
+            else:
+                value = action.type(config[key]) if action.type else config[key]
+        except ValueError as exc:
+            raise InputError(f"config key {key!r}: {exc}")
+        if action.choices is not None and value not in action.choices:
+            raise InputError(f"config key {key!r}: {value!r} is not one of {tuple(action.choices)}")
+        defaults[action.dest] = value
+    return defaults
+
+
+def _check_ranges(args: argparse.Namespace) -> None:
+    """Reject out-of-range values, whether they came from flags or the config file."""
+    for name in ("k", "agents", "problems", "samples"):
+        if getattr(args, name, 1) < 1:
+            raise InputError(f"{name} must be a positive integer")
+    for name in ("sigma_floor", "eps_gain", "threshold", "gap", "sigma"):
+        if not getattr(args, name, 1.0) > 0:
+            raise InputError(f"{name} must be strictly positive")
+    bad = [f for f in getattr(args, "formats", ()) if f not in ALL_FORMATS]
+    if bad:
+        raise InputError(f"unknown output format(s): {', '.join(bad)}")
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +125,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _outdir(cfg: RunConfig) -> Path:
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    return cfg.out
+def _outdir(args: argparse.Namespace) -> Path:
+    args.out.mkdir(parents=True, exist_ok=True)
+    return args.out
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -188,28 +143,20 @@ def _write_csv(path: Path, header, rows) -> None:
     print(f"wrote {path}")
 
 
-def _load_table(cfg: RunConfig) -> PerformanceTable:
-    if not cfg.stats:
-        raise InputError("missing --stats FILE (aggregated stats from 'ingest')")
-    return load_stats(cfg.stats)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 
-def cmd_ingest(cfg: RunConfig) -> int:
-    if not cfg.input:
-        raise InputError("missing --input FILE (playthrough CSV)")
-    records = parse_records_path(cfg.input)
-    table = aggregate(records, cfg.sigma_floor, allow_missing=cfg.allow_missing)
-    out = _outdir(cfg)
-    if "csv" in cfg.formats:
+def cmd_ingest(args: argparse.Namespace) -> int:
+    records = parse_records_path(args.input)
+    table = aggregate(records, args.sigma_floor, allow_missing=args.allow_missing)
+    out = _outdir(args)
+    if "csv" in args.formats:
         with open(out / "stats.csv", "w", newline="", encoding="utf-8") as f:
             write_stats_csv(table, f)
         print(f"wrote {out / 'stats.csv'}")
-    if "json" in cfg.formats:
+    if "json" in args.formats:
         _write_text(out / "stats.json", dumps_canonical_json(stats_json_document(table)))
 
     counts = np.asarray(table.counts)
@@ -237,11 +184,11 @@ def _gain_rows(table: PerformanceTable, noise: str) -> list[dict]:
     return rows
 
 
-def cmd_info_gain(cfg: RunConfig) -> int:
-    table = _load_table(cfg)
-    rows = _gain_rows(table, cfg.noise)
-    out = _outdir(cfg)
-    if "csv" in cfg.formats:
+def cmd_info_gain(args: argparse.Namespace) -> int:
+    table = load_stats(args.stats)
+    rows = _gain_rows(table, args.noise)
+    out = _outdir(args)
+    if "csv" in args.formats:
         _write_csv(
             out / "info_gain.csv",
             ("problem", "win_bits", "score_bits", "combined_bits"),
@@ -250,9 +197,9 @@ def cmd_info_gain(cfg: RunConfig) -> int:
                 for r in rows
             ],
         )
-    if "json" in cfg.formats:
+    if "json" in args.formats:
         doc = {
-            "noise": cfg.noise,
+            "noise": args.noise,
             "gains": rows,
             "ranking_by": {
                 mode: [
@@ -287,18 +234,18 @@ def _selection_text(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_select(cfg: RunConfig) -> int:
-    table = _load_table(cfg)
+def cmd_select(args: argparse.Namespace) -> int:
+    table = load_stats(args.stats)
     report = greedy_select(
         table,
-        cfg.k,
-        cfg.metric,
-        noise=cfg.noise,
-        eps_gain=cfg.eps_gain,
-        per_key=cfg.per_key,
+        args.k,
+        args.metric,
+        noise=args.noise,
+        eps_gain=args.eps_gain,
+        per_key=args.per_key,
     )
-    out = _outdir(cfg)
-    if "csv" in cfg.formats:
+    out = _outdir(args)
+    if "csv" in args.formats:
         _write_csv(
             out / "selection.csv",
             ("rank", "problem", "marginal_bits", "cumulative_bits"),
@@ -307,10 +254,10 @@ def cmd_select(cfg: RunConfig) -> int:
                 for rank, s in enumerate(report.steps, start=1)
             ],
         )
-    if "json" in cfg.formats:
+    if "json" in args.formats:
         doc = {
             "mode": report.mode,
-            "noise": cfg.noise,
+            "noise": args.noise,
             "steps": [
                 {
                     "rank": rank,
@@ -342,14 +289,14 @@ def _correlation_csv_rows(corr: CorrelationMatrix):
         yield row
 
 
-def cmd_correlate(cfg: RunConfig) -> int:
-    table = _load_table(cfg)
-    out = _outdir(cfg)
+def cmd_correlate(args: argparse.Namespace) -> int:
+    table = load_stats(args.stats)
+    out = _outdir(args)
     for measure in (Measure.WIN_RATE, Measure.SCORE):
         name = measure.value
         corr = correlation_matrix(table, measure)
-        clustering = cluster(corr, cfg.threshold)
-        if "csv" in cfg.formats:
+        clustering = cluster(corr, args.threshold)
+        if "csv" in args.formats:
             _write_csv(
                 out / f"correlation_{name}.csv",
                 ["problem", *corr.problems],
@@ -363,7 +310,7 @@ def cmd_correlate(cfg: RunConfig) -> int:
                     for p, cid in sorted(clustering.assignments().items())
                 ],
             )
-        if "json" in cfg.formats:
+        if "json" in args.formats:
             doc = {
                 "measure": name,
                 "problems": list(corr.problems),
@@ -371,12 +318,12 @@ def cmd_correlate(cfg: RunConfig) -> int:
                     [None if np.isnan(v) else float(v) for v in row]
                     for row in corr.values
                 ],
-                "threshold": cfg.threshold,
+                "threshold": args.threshold,
                 "clusters": [list(c) for c in clustering.clusters],
                 "no_correlation_measure": list(clustering.excluded),
             }
             _write_text(out / f"correlation_{name}.json", dumps_canonical_json(doc))
-        if "svg" in cfg.formats:
+        if "svg" in args.formats:
             svg = render_heatmap(corr, clustering, title=f"problem correlation ({name})")
             _write_text(out / f"heatmap_{name}.svg", svg)
         print(
@@ -386,27 +333,27 @@ def cmd_correlate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_confusion(cfg: RunConfig) -> int:
-    table = _load_table(cfg)
-    if not cfg.problems_list:
+def cmd_confusion(args: argparse.Namespace) -> int:
+    table = load_stats(args.stats)
+    if not args.problems_list:
         raise InputError("missing --problems LIST (comma-separated problem identifiers)")
     keys: list[MetricKey] = []
-    for p in cfg.problems_list:
-        keys.extend(metric_keys_for(p, cfg.metric))
-    matrix = confusion(table, keys, cfg.noise)
-    out = _outdir(cfg)
-    if "csv" in cfg.formats:
+    for p in args.problems_list:
+        keys.extend(metric_keys_for(p, args.metric))
+    matrix = confusion(table, keys, args.noise)
+    out = _outdir(args)
+    if "csv" in args.formats:
         rows = [
             [agent, *(repr(float(v)) for v in matrix.probs[i])]
             for i, agent in enumerate(matrix.agents)
         ]
         _write_csv(out / "confusion.csv", ["agent", *matrix.agents], rows)
-    if "json" in cfg.formats:
+    if "json" in args.formats:
         doc = {
             "agents": list(matrix.agents),
-            "metric": cfg.metric,
-            "noise": cfg.noise,
-            "problems": list(cfg.problems_list),
+            "metric": args.metric,
+            "noise": args.noise,
+            "problems": list(args.problems_list),
             "rows": [[float(v) for v in row] for row in matrix.probs],
         }
         _write_text(out / "confusion.json", dumps_canonical_json(doc))
@@ -414,28 +361,23 @@ def cmd_confusion(cfg: RunConfig) -> int:
     return 0
 
 
-def _synth_spec(cfg: RunConfig) -> SynthSpec:
+def _synth_spec(args: argparse.Namespace) -> SynthSpec:
     kinds: list[Archetype] = []
-    for i in range(cfg.problems):
-        name = cfg.archetype
+    for i in range(args.problems):
+        name = args.archetype
         if name == "mixed":
             if i % 4 == 3:
                 kinds.append(Archetype("duplicate", source=i - 3))
                 continue
             name = _MIXED_CYCLE[i % 4]
-        name = name.replace("-", "_")
-        if name not in ARCHETYPE_KINDS:
-            raise InputError(
-                f"unknown archetype {cfg.archetype!r}, expected one of {ARCHETYPE_CHOICES}"
-            )
-        kinds.append(Archetype(name, gap=cfg.gap, sigma=cfg.sigma))
-    return SynthSpec(cfg.agents, tuple(kinds), cfg.samples, cfg.seed)
+        kinds.append(Archetype(name.replace("-", "_"), gap=args.gap, sigma=args.sigma))
+    return SynthSpec(args.agents, tuple(kinds), args.samples, args.seed)
 
 
-def cmd_synth(cfg: RunConfig) -> int:
-    spec = _synth_spec(cfg)
+def cmd_synth(args: argparse.Namespace) -> int:
+    spec = _synth_spec(args)
     records = generate(spec)
-    out = _outdir(cfg)
+    out = _outdir(args)
     path = out / "playthroughs.csv"
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f, lineterminator="\n")
@@ -466,70 +408,65 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="output directory (default: current directory)")
-    common.add_argument(
-        "--format",
-        dest="format",
-        type=_formats_from,
-        help="comma-separated output formats: csv,json,svg (default: all applicable)",
-    )
+    def shared(*flags, **options) -> argparse.ArgumentParser:
+        """A parent parser holding an option that several commands take."""
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*flags, **options)
+        return parent
+
+    common = shared("--out", type=Path, default=".", help="output directory" + _DEFAULT)
     common.add_argument("--config", help="key=value config file; flags take precedence")
-    common.add_argument("--sigma-floor", type=float, help="lower bound on estimated stddevs")
+    formats = shared("--format", dest="formats", type=_comma_list, default=",".join(ALL_FORMATS),
+                     help="comma-separated output formats" + _DEFAULT)
+    stats = shared("--stats", required=True, help="aggregated stats file (.csv or .json)")
+    noise = shared("--noise", choices=NOISE_MODES, default="sum",
+                   help="how per-agent noise scales combine" + _DEFAULT)
+    metric = shared("--metric", choices=SELECTION_MODES, default="combined",
+                    help="performance signal(s) to use" + _DEFAULT)
 
-    p = sub.add_parser("ingest", parents=[common], help="aggregate a playthrough CSV into stats files")
+    p = sub.add_parser("ingest", parents=[common, formats],
+                       help="aggregate a playthrough CSV into stats files")
     p.add_argument("--input", required=True, help="playthrough CSV (agent,problem,score,win)")
-    p.add_argument(
-        "--allow-missing",
-        action="store_true",
-        default=None,
-        help="drop agents lacking full problem coverage instead of failing",
-    )
+    p.add_argument("--allow-missing", action="store_true",
+                   help="drop agents lacking full problem coverage instead of failing")
+    p.add_argument("--sigma-floor", type=float, default=SIGMA_FLOOR_DEFAULT,
+                   help="lower bound on estimated stddevs" + _DEFAULT)
 
-    p = sub.add_parser("info-gain", parents=[common], help="rank every problem by information gain")
-    p.add_argument("--stats", required=True, help="aggregated stats file (.csv or .json)")
-    p.add_argument("--noise", choices=NOISE_MODES, help="how per-agent noise scales combine")
+    sub.add_parser("info-gain", parents=[common, formats, stats, noise],
+                   help="rank every problem by information gain")
 
-    p = sub.add_parser("select", parents=[common], help="greedily select the top-k problem set")
-    p.add_argument("--stats", required=True)
-    p.add_argument("--metric", choices=SELECTION_MODES, help="performance signal(s) to use")
-    p.add_argument("--k", type=int, help="number of problems to select (default 10)")
-    p.add_argument("--noise", choices=NOISE_MODES)
-    p.add_argument("--eps-gain", type=float, help="marginal gain resolution in bits")
-    p.add_argument(
-        "--per-key",
-        action="store_true",
-        default=None,
-        help="select single (problem, measure) cells instead of whole problems",
-    )
+    p = sub.add_parser("select", parents=[common, formats, stats, metric, noise],
+                       help="greedily select the top-k problem set")
+    p.add_argument("--k", type=int, default=10, help="number of problems to select" + _DEFAULT)
+    p.add_argument("--eps-gain", type=float, default=EPS_GAIN,
+                   help="marginal gain resolution in bits" + _DEFAULT)
+    p.add_argument("--per-key", action="store_true",
+                   help="select single (problem, measure) cells instead of whole problems")
 
-    p = sub.add_parser("correlate", parents=[common], help="correlation matrices, clusters, heatmaps")
-    p.add_argument("--stats", required=True)
-    p.add_argument("--threshold", type=float, help="dendrogram cut height (default 0.8)")
+    p = sub.add_parser("correlate", parents=[common, formats, stats],
+                       help="correlation matrices, clusters, heatmaps")
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
+                   help="dendrogram cut height" + _DEFAULT)
 
-    p = sub.add_parser("confusion", parents=[common], help="dump the confusion matrix for a problem set")
-    p.add_argument("--stats", required=True)
-    p.add_argument(
-        "--problems",
-        dest="problems_list",
-        required=True,
-        help="comma-separated problem identifiers",
-    )
-    p.add_argument("--metric", choices=SELECTION_MODES)
-    p.add_argument("--noise", choices=NOISE_MODES)
+    p = sub.add_parser("confusion", parents=[common, formats, stats, metric, noise],
+                       help="dump the confusion matrix for a problem set")
+    p.add_argument("--problems", dest="problems_list", type=_comma_list, required=True,
+                   help="comma-separated problem identifiers")
 
     p = sub.add_parser("synth", parents=[common], help="generate a synthetic playthrough CSV")
-    p.add_argument("--agents", type=int, help="number of agents (default 5)")
-    p.add_argument("--problems", type=int, help="number of problems (default 10)")
-    p.add_argument(
-        "--archetype",
-        choices=ARCHETYPE_CHOICES,
-        help="problem character; 'mixed' cycles archetypes and adds duplicates",
-    )
-    p.add_argument("--gap", type=float, help="mean separation between adjacent agents")
-    p.add_argument("--sigma", type=float, help="score noise per agent")
-    p.add_argument("--samples", type=int, help="playthroughs per agent-problem cell")
-    p.add_argument("--seed", type=int, help="random seed (pins the whole stream)")
+    p.add_argument("--agents", type=int, default=5, help="number of agents" + _DEFAULT)
+    p.add_argument("--problems", type=int, default=10, help="number of problems" + _DEFAULT)
+    p.add_argument("--archetype", choices=ARCHETYPE_CHOICES, default="mixed",
+                   help="problem character; 'mixed' cycles archetypes and adds duplicates"
+                   + _DEFAULT)
+    p.add_argument("--gap", type=float, default=Archetype.gap,
+                   help="mean separation between adjacent agents" + _DEFAULT)
+    p.add_argument("--sigma", type=float, default=Archetype.sigma,
+                   help="score noise per agent" + _DEFAULT)
+    p.add_argument("--samples", type=int, default=SynthSpec.samples_per_cell,
+                   help="playthroughs per agent-problem cell" + _DEFAULT)
+    p.add_argument("--seed", type=int, default=SynthSpec.seed,
+                   help="random seed; pins the whole stream" + _DEFAULT)
 
     return parser
 
@@ -548,8 +485,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = build_config(args)
-        return _COMMANDS[args.command](cfg)
+        if args.config:
+            # the config file supplies defaults for the chosen command only,
+            # so a second parse lets explicit flags win over it
+            commands = next(a for a in parser._actions if a.dest == "command")
+            command = commands.choices[args.command]
+            command.set_defaults(**_config_defaults(command, _read_config_file(args.config)))
+            args = parser.parse_args(argv)
+        _check_ranges(args)
+        return _COMMANDS[args.command](args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -74,18 +74,9 @@ def log_weight(
     noise: str = "sum",
 ) -> float:
     """Log of the unnormalized belief weight for one (observed, candidate) pair."""
-    keys = validate_metric_keys(table, keys)
     i = table.agent_index(observed)
     j = table.agent_index(candidate)
-    total = 0.0
-    for key in keys:
-        mu, sd = table.column(key)
-        scale = _pair_scales(sd, noise)[i, j]
-        diff = mu[i] - mu[j]
-        total += -(diff * diff) / (2.0 * scale * scale) - 0.5 * np.log(
-            2.0 * np.pi * scale * scale
-        )
-    return float(total)
+    return float(log_weight_matrix(table, keys, noise)[i, j])
 
 
 @dataclass(frozen=True, eq=False)

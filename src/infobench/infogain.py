@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -161,15 +160,14 @@ def greedy_select(
     noise: str = "sum",
     eps_gain: float = EPS_GAIN,
     per_key: bool = False,
-    workers: int = 1,
 ) -> SelectionReport:
     """Greedily pick up to k problems maximizing joint information gain.
 
     Candidates whose marginal gain does not exceed ``eps_gain`` are
     never picked; if none remain the selection stops early.  With
     ``per_key`` each (problem, measure) cell is selected independently
-    and identifiers read ``problem:measure``.  Candidate evaluation may
-    be parallelized; the outcome is independent of evaluation order.
+    and identifiers read ``problem:measure``.  Candidates are scored in
+    sorted order and ties break lexicographically, so reruns are identical.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -189,16 +187,8 @@ def greedy_select(
     stopped_early = False
     stop_reason = None
 
-    def evaluate(candidate: str) -> tuple[str, float]:
-        keys = selected_keys + list(units[candidate])
-        return candidate, info_gain_set(table, keys, noise)
-
     for step in range(1, k + 1):
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                totals = dict(pool.map(evaluate, remaining))
-        else:
-            totals = dict(map(evaluate, remaining))
+        totals = {c: info_gain_set(table, selected_keys + list(units[c]), noise) for c in remaining}
         gains = {c: totals[c] - cumulative for c in remaining}
         for c in sorted(gains):
             if gains[c] < -eps_gain:

@@ -190,6 +190,43 @@ class TestConfigFile:
         assert run("select", "--stats", corpus / "stats.csv", "--out", corpus,
                    "--config", cfg) == 2
 
+    def test_bad_config_value(self, corpus, tmp_path, capsys):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("k=abc\n")
+        assert run("select", "--stats", corpus / "stats.csv", "--out", corpus,
+                   "--config", cfg) == 2
+        assert "config key" in capsys.readouterr().err
+
+    def test_config_value_outside_choices(self, corpus, tmp_path):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("metric=bogus\n")
+        assert run("select", "--stats", corpus / "stats.csv", "--out", corpus,
+                   "--config", cfg) == 2
+
+    @pytest.mark.parametrize("token, mode", [("yes", "per-key"), ("no", "combined")])
+    def test_config_boolean(self, corpus, tmp_path, token, mode):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(f"k=2\nper-key={token}\n")
+        assert run("select", "--stats", corpus / "stats.csv", "--out", corpus,
+                   "--config", cfg) == 0
+        doc = json.loads((corpus / "selection.json").read_text())
+        assert doc["mode"] == mode
+
+    def test_config_key_of_another_command_is_ignored(self, corpus, tmp_path):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("k=0\n")
+        assert run("correlate", "--stats", corpus / "stats.csv", "--out", corpus,
+                   "--config", cfg) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("info-gain", "--stats", "stats.csv", "--sigma-floor", "1"),
+        ("synth", "--format", "csv"),
+    ])
+    def test_flag_the_command_does_not_read_is_a_usage_error(self, argv, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--out", tmp_path)
+        assert exc.value.code == 2
+
 
 def unit_noise(values):
     vals = tuple(values)

@@ -9,15 +9,17 @@ from infobench.infogain import info_gain_set, greedy_select
 from infobench.perf import Measure, MetricKey, aggregate
 from infobench.synth import (
     Archetype,
-    OracleRangeError,
     SynthSpec,
     exact_table,
     fixture_suite,
     generate,
+    sampled_table,
+)
+from reference_oracle import (
+    OracleRangeError,
     oracle_best_subset,
     oracle_confusion_rows,
     oracle_info_gain,
-    sampled_table,
 )
 
 
