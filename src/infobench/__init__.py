@@ -20,7 +20,6 @@ from .confusion import (
     ConfusionMatrix,
     NOISE_MODES,
     confusion,
-    log_weight,
     log_weight_matrix,
 )
 from .errors import (
@@ -60,7 +59,6 @@ from .synth import (
     Archetype,
     SynthSpec,
     exact_table,
-    fixture_suite,
     generate,
     sampled_table,
 )
@@ -96,13 +94,11 @@ __all__ = [
     "confusion",
     "correlation_matrix",
     "exact_table",
-    "fixture_suite",
     "generate",
     "greedy_select",
     "info_gain_combined",
     "info_gain_set",
     "load_stats",
-    "log_weight",
     "log_weight_matrix",
     "metric_keys_for",
     "mutual_information",

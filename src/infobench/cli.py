@@ -377,14 +377,11 @@ def _synth_spec(args: argparse.Namespace) -> SynthSpec:
 def cmd_synth(args: argparse.Namespace) -> int:
     spec = _synth_spec(args)
     records = generate(spec)
-    out = _outdir(args)
-    path = out / "playthroughs.csv"
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(("agent", "problem", "score", "win"))
-        for r in records:
-            w.writerow((r.agent, r.problem, repr(r.score), int(r.win)))
-    print(f"wrote {path}")
+    _write_csv(
+        _outdir(args) / "playthroughs.csv",
+        ("agent", "problem", "score", "win"),
+        ((r.agent, r.problem, repr(r.score), int(r.win)) for r in records),
+    )
     print(
         f"{len(records)} records: {spec.agents} agents x "
         f"{len(spec.archetypes)} problems x {spec.samples_per_cell} samples"

@@ -66,19 +66,6 @@ def log_weight_matrix(
     return total
 
 
-def log_weight(
-    observed: str,
-    candidate: str,
-    table: PerformanceTable,
-    keys: Sequence[MetricKey],
-    noise: str = "sum",
-) -> float:
-    """Log of the unnormalized belief weight for one (observed, candidate) pair."""
-    i = table.agent_index(observed)
-    j = table.agent_index(candidate)
-    return float(log_weight_matrix(table, keys, noise)[i, j])
-
-
 @dataclass(frozen=True, eq=False)
 class ConfusionMatrix:
     """Row-stochastic belief matrix; row i is the posterior over candidates
@@ -88,24 +75,28 @@ class ConfusionMatrix:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = self.probs
         n = len(self.agents)
-        if p.shape != (n, n):
-            raise ValueError(f"probs shape {p.shape} does not match {n} agents")
-        if np.any(p < 0) or np.any(p > 1):
-            raise ValueError("confusion entries must lie in [0, 1]")
-        sums = p.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
-            worst = float(np.max(np.abs(sums - 1.0)))
-            raise ValueError(f"rows must sum to 1 within {ROW_SUM_TOL}, worst off by {worst:g}")
-        p.setflags(write=False)
+        if self.probs.shape != (n, n):
+            raise ValueError(f"probs shape {self.probs.shape} does not match {n} agents")
+        check_row_stochastic(self.probs)
+        self.probs.setflags(write=False)
 
-    @property
-    def size(self) -> int:
-        return len(self.agents)
 
-    def row(self, observed: str) -> np.ndarray:
-        return self.probs[self.agents.index(observed)]
+def check_row_stochastic(probs: np.ndarray) -> None:
+    """Reject anything but a square matrix of entries in [0, 1] whose rows sum to 1.
+
+    NaN fails every comparison, so it is rejected as an entry outside [0, 1].
+    """
+    if probs.ndim != 2 or probs.shape[0] != probs.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {probs.shape}")
+    if not np.all((probs >= 0) & (probs <= 1)):
+        raise ValueError("entries must be non-negative and lie in [0, 1]")
+    off = np.abs(probs.sum(axis=1) - 1.0)
+    if np.any(off > ROW_SUM_TOL):
+        raise ValueError(
+            f"rows must be stochastic (sum to 1 within {ROW_SUM_TOL}), "
+            f"worst off by {float(np.max(off)):g}"
+        )
 
 
 def softmax_rows(log_weights: np.ndarray) -> np.ndarray:
@@ -122,5 +113,14 @@ def confusion(
     """Confusion matrix over the table's agents for the given key set."""
     if len(table.agents) < 2:
         raise DomainError("discrimination undefined for fewer than two algorithms")
-    log_w = log_weight_matrix(table, keys, noise)
+    # squared noise scales or mean gaps above ~1e154 overflow, and squared
+    # scales below ~1e-162 underflow to 0; the inf/NaN weights that follow
+    # are an error here, never a probability
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        log_w = log_weight_matrix(table, keys, noise)
+    if not np.isfinite(log_w).all():
+        raise DomainError(
+            "belief weights are not finite: means or noise scales are too large "
+            "or too small to square in floating point"
+        )
     return ConfusionMatrix(table.agents, softmax_rows(log_w))

@@ -17,8 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .confusion import ROW_SUM_TOL, ConfusionMatrix, confusion
-from .errors import CompletenessError
+from .confusion import ConfusionMatrix, check_row_stochastic, confusion
 from .perf import Measure, MetricKey, PerformanceTable
 
 EPS_GAIN = 1e-9
@@ -39,14 +38,11 @@ def mutual_information(matrix: ConfusionMatrix | np.ndarray) -> float:
     Accepts a ConfusionMatrix or a raw row-stochastic array.  Equal to
     ``log2(n) - mean(row entropy)`` under the uniform agent prior.
     """
-    probs = matrix.probs if isinstance(matrix, ConfusionMatrix) else np.asarray(matrix, dtype=float)
-    if probs.ndim != 2 or probs.shape[0] != probs.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {probs.shape}")
-    if np.any(probs < 0):
-        raise ValueError("probabilities must be non-negative")
-    sums = probs.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
-        raise ValueError("rows must be stochastic (sum to 1)")
+    if isinstance(matrix, ConfusionMatrix):
+        probs = matrix.probs  # validated when the matrix was built
+    else:
+        probs = np.asarray(matrix, dtype=float)
+        check_row_stochastic(probs)
     n = probs.shape[0]
     return math.log2(n) - float(np.mean(row_entropies_bits(probs)))
 
@@ -76,13 +72,7 @@ def info_gain_combined(
     table: PerformanceTable, problem: str, noise: str = "sum"
 ) -> float:
     """Gain of one problem using its win rate and score as two measurements."""
-    keys = metric_keys_for(problem, "combined")
-    for k in keys:
-        if not table.has_key(k):
-            raise CompletenessError(
-                f"problem {problem!r} lacks a {k.measure.value} cell"
-            )
-    return info_gain_set(table, keys, noise)
+    return info_gain_set(table, metric_keys_for(problem, "combined"), noise)
 
 
 @dataclass(frozen=True)
@@ -138,12 +128,6 @@ def _candidate_units(
     units: dict[str, tuple[MetricKey, ...]] = {}
     for problem in table.problems:
         bundle = metric_keys_for(problem, mode)
-        for k in bundle:
-            if not table.has_key(k):
-                raise CompletenessError(
-                    f"problem {problem!r} lacks a {k.measure.value} cell "
-                    f"required by mode {mode!r}"
-                )
         if per_key:
             for k in bundle:
                 units[f"{k.problem}:{k.measure.value}"] = (k,)

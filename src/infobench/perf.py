@@ -90,16 +90,13 @@ class PerformanceStat:
     count: int
 
 
-def parse_records(stream: IO[str], fmt: str = "csv") -> list[PlaythroughRecord]:
-    """Parse a playthrough log into records, preserving file order.
+def parse_records(stream: IO[str]) -> list[PlaythroughRecord]:
+    """Parse a playthrough CSV into records, preserving file order.
 
-    The only supported format is CSV with the exact header
-    ``agent,problem,score,win``.  Win tokens accept 0/1, true/false and
-    win/lose, case-insensitively.  Errors name the offending 1-based
-    line (header = line 1).
+    The header must be exactly ``agent,problem,score,win``.  Win tokens
+    accept 0/1, true/false and win/lose, case-insensitively.  Errors
+    name the offending 1-based line (header = line 1).
     """
-    if fmt != "csv":
-        raise InputError(f"unknown playthrough format {fmt!r}")
     reader = csv.reader(stream)
     try:
         header = next(reader)
@@ -138,9 +135,10 @@ def parse_records(stream: IO[str], fmt: str = "csv") -> list[PlaythroughRecord]:
     return records
 
 
-def parse_records_path(path: str | Path, fmt: str = "csv") -> list[PlaythroughRecord]:
-    with open(path, newline="", encoding="utf-8") as f:
-        return parse_records(f, fmt)
+def parse_records_path(path: str | Path) -> list[PlaythroughRecord]:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports prepend
+    with open(path, newline="", encoding="utf-8-sig") as f:
+        return parse_records(f)
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,9 +232,6 @@ class PerformanceTable:
                 f"no cell for problem {key.problem!r} measure {key.measure.value!r}"
             )
 
-    def has_key(self, key: MetricKey) -> bool:
-        return key in self._key_index
-
     def stat(self, agent: str, key: MetricKey) -> PerformanceStat:
         i, j = self.agent_index(agent), self.key_index(key)
         return PerformanceStat(
@@ -255,7 +250,11 @@ def _gaussian_stat(
     # math.fsum is exactly rounded, so the result does not depend on the
     # order the values arrived in.
     n = len(values)
-    mean = math.fsum(values) / n
+    try:
+        mean = math.fsum(values) / n
+        ssd = math.fsum((v - mean) ** 2 for v in values)
+    except OverflowError:
+        raise InputError(f"{label} values are too large to summarise in floating point") from None
     if n < 2:
         warnings.warn(
             f"single playthrough for {label}; stddev set to the floor "
@@ -263,7 +262,6 @@ def _gaussian_stat(
             stacklevel=3,
         )
         return PerformanceStat(mean, sigma_floor, n)
-    ssd = math.fsum((v - mean) ** 2 for v in values)
     stddev = max(math.sqrt(ssd / (n - 1)), sigma_floor)
     return PerformanceStat(mean, stddev, n)
 
@@ -379,10 +377,6 @@ def dumps_canonical_json(document) -> str:
     return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def write_stats_json(table: PerformanceTable, stream: IO[str]) -> None:
-    stream.write(dumps_canonical_json(stats_json_document(table)))
-
-
 def _cells_from_row_iter(rows, sigma_floor) -> PerformanceTable:
     cells: dict[tuple[str, MetricKey], PerformanceStat] = {}
     for agent, problem, measure, mean, stddev, count in rows:
@@ -453,7 +447,7 @@ def read_stats_json(stream: IO[str]) -> PerformanceTable:
 def load_stats(path: str | Path) -> PerformanceTable:
     """Read an aggregated-stats file, dispatching on the extension."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as f:
+    with open(path, newline="", encoding="utf-8-sig") as f:
         if path.suffix.lower() == ".json":
             return read_stats_json(f)
         return read_stats_csv(f)

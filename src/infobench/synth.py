@@ -161,57 +161,3 @@ def sampled_table(spec: SynthSpec) -> PerformanceTable:
     """Generate records for a spec and aggregate them."""
     return aggregate(generate(spec))
 
-
-def fixture_suite() -> list[tuple[str, PerformanceTable]]:
-    """The shipped fixture tables exercised by the audit-style tests.
-
-    Every fixture keeps at least one strongly separated measure per
-    problem: weakly separated correlated measures are exactly the
-    regime where the combined-gain audit is expected to flag
-    sharpening, and these fixtures are the baseline that must not.
-    """
-    specs = [
-        (
-            "identical-exact",
-            SynthSpec(5, (Archetype("identical"),) * 3, seed=101),
-        ),
-        (
-            "linear-strong",
-            SynthSpec(5, (Archetype("linear", gap=12.0),) * 4, seed=102),
-        ),
-        (
-            "two-cluster",
-            SynthSpec(6, (Archetype("two_cluster", gap=15.0),) * 3, seed=103),
-        ),
-        (
-            "delayed",
-            SynthSpec(5, (Archetype("delayed", gap=14.0),) * 3, seed=104),
-        ),
-        (
-            "mixed-with-duplicate",
-            SynthSpec(
-                5,
-                (
-                    Archetype("linear", gap=12.0),
-                    Archetype("duplicate", source=0),
-                    Archetype("two_cluster", gap=15.0),
-                    Archetype("delayed", gap=14.0),
-                ),
-                seed=105,
-            ),
-        ),
-    ]
-    tables = [(name, exact_table(spec)) for name, spec in specs]
-    tables += [
-        (
-            "linear-sampled",
-            sampled_table(SynthSpec(5, (Archetype("linear", gap=12.0),) * 3,
-                                    samples_per_cell=2000, seed=106)),
-        ),
-        (
-            "delayed-sampled",
-            sampled_table(SynthSpec(5, (Archetype("delayed", gap=14.0),) * 2,
-                                    samples_per_cell=2000, seed=107)),
-        ),
-    ]
-    return tables

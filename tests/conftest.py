@@ -8,6 +8,7 @@ from infobench.perf import (
     PerformanceTable,
     SIGMA_FLOOR_DEFAULT,
 )
+from infobench.synth import Archetype, SynthSpec, exact_table, sampled_table
 
 
 def score_table(games, counts=10, sigma_floor=SIGMA_FLOOR_DEFAULT):
@@ -61,6 +62,61 @@ def random_score_table(rng, n_agents, n_keys, mu_range=(-5.0, 5.0), sd_range=(0.
 
 def score_keys(table):
     return [k for k in table.keys if k.measure == Measure.SCORE]
+
+
+def fixture_suite() -> list[tuple[str, PerformanceTable]]:
+    """The fixture tables exercised by the audit-style tests.
+
+    Every fixture keeps at least one strongly separated measure per
+    problem: weakly separated correlated measures are exactly the
+    regime where the combined-gain audit is expected to flag
+    sharpening, and these fixtures are the baseline that must not.
+    """
+    specs = [
+        (
+            "identical-exact",
+            SynthSpec(5, (Archetype("identical"),) * 3, seed=101),
+        ),
+        (
+            "linear-strong",
+            SynthSpec(5, (Archetype("linear", gap=12.0),) * 4, seed=102),
+        ),
+        (
+            "two-cluster",
+            SynthSpec(6, (Archetype("two_cluster", gap=15.0),) * 3, seed=103),
+        ),
+        (
+            "delayed",
+            SynthSpec(5, (Archetype("delayed", gap=14.0),) * 3, seed=104),
+        ),
+        (
+            "mixed-with-duplicate",
+            SynthSpec(
+                5,
+                (
+                    Archetype("linear", gap=12.0),
+                    Archetype("duplicate", source=0),
+                    Archetype("two_cluster", gap=15.0),
+                    Archetype("delayed", gap=14.0),
+                ),
+                seed=105,
+            ),
+        ),
+    ]
+    tables = [(name, exact_table(spec)) for name, spec in specs]
+    tables += [
+        (
+            "linear-sampled",
+            sampled_table(SynthSpec(5, (Archetype("linear", gap=12.0),) * 3,
+                                    samples_per_cell=2000, seed=106)),
+        ),
+        (
+            "delayed-sampled",
+            sampled_table(SynthSpec(5, (Archetype("delayed", gap=14.0),) * 2,
+                                    samples_per_cell=2000, seed=107)),
+        ),
+    ]
+    return tables
 
 
 @pytest.fixture

@@ -20,6 +20,7 @@ import pytest
 from conftest import (
     PEARSON_123_124,
     THREE_AGENT_MI_BITS,
+    fixture_suite,
     full_table,
     random_score_table,
     score_keys,
@@ -27,7 +28,6 @@ from conftest import (
 )
 from infobench.cluster import cluster, correlation_matrix
 from infobench.confusion import confusion
-from infobench.heatmap import read_heatmap_cells
 from infobench.infogain import (
     greedy_select,
     info_gain_set,
@@ -36,8 +36,9 @@ from infobench.infogain import (
     subadditivity_audit,
 )
 from infobench.perf import Measure, MetricKey
-from infobench.synth import Archetype, SynthSpec, fixture_suite, sampled_table
+from infobench.synth import Archetype, SynthSpec, sampled_table
 from reference_cluster import naive_ward_partition
+from reference_heatmap import read_heatmap_cells
 from reference_oracle import oracle_info_gain
 
 N_INSTANCES = 1000

@@ -8,8 +8,8 @@ import pytest
 
 from conftest import full_table, score_table
 from infobench.cli import main
-from infobench.heatmap import read_heatmap_cells
 from infobench.perf import write_stats_csv
+from reference_heatmap import read_heatmap_cells
 
 
 def run(*argv):
@@ -164,6 +164,48 @@ class TestExitCodes:
     def test_unknown_format(self, corpus):
         assert run("info-gain", "--stats", corpus / "stats.csv",
                    "--out", corpus, "--format", "xlsx") == 2
+
+    def test_byte_order_mark_header_is_accepted(self, tmp_path):
+        rows = "agent,problem,score,win\na1,g,1.0,1\na1,g,2.5,0\na2,g,4.0,1\na2,g,0.5,0\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(rows, encoding="utf-8")
+        marked.write_text("\ufeff" + rows, encoding="utf-8")
+        assert run("ingest", "--input", plain, "--out", tmp_path / "plain") == 0
+        assert run("ingest", "--input", marked, "--out", tmp_path / "marked") == 0
+        assert ((tmp_path / "marked" / "stats.csv").read_bytes()
+                == (tmp_path / "plain" / "stats.csv").read_bytes())
+
+    def test_overflowing_scores_are_an_input_error(self, tmp_path, capsys):
+        huge = tmp_path / "huge.csv"
+        huge.write_text("agent,problem,score,win\na1,g,1e200,1\na1,g,-1e200,0\n")
+        assert run("ingest", "--input", huge, "--out", tmp_path / "out") == 2
+        assert "(a1, g) score" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_belief_weights_exit_1_without_output(self, tmp_path, capsys):
+        # two of three agents at stddev 1e200 carry no information; the
+        # squared noise scale overflows and must not read as log2(3) bits
+        table = full_table({"g": {"win": ((0.5, 0.5, 0.5), (1e200, 1e200, 0.1)),
+                                  "score": ((1.0, 1.0, 1.0), (1e200, 1e200, 1.0))}})
+        stats = tmp_path / "stats.csv"
+        with open(stats, "w", newline="") as f:
+            write_stats_csv(table, f)
+        out = tmp_path / "out"
+        assert run("info-gain", "--stats", stats, "--out", out) == 1
+        assert run("confusion", "--stats", stats, "--problems", "g", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 2
+        assert not out.exists()
+
+    def test_missing_measure_exits_2_without_output(self, tmp_path, capsys):
+        table = score_table({"g": ((0.0, 1.0, 2.0), (1.0, 1.0, 1.0))})
+        stats = tmp_path / "stats.csv"
+        with open(stats, "w", newline="") as f:
+            write_stats_csv(table, f)
+        out = tmp_path / "out"
+        assert run("select", "--stats", stats, "--k", 1, "--out", out) == 2
+        assert "no cell for problem 'g' measure 'win'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigFile:

@@ -15,7 +15,6 @@ from conftest import (
 from infobench.confusion import (
     ConfusionMatrix,
     confusion,
-    log_weight,
     log_weight_matrix,
 )
 from infobench.errors import CompletenessError, DomainError
@@ -28,12 +27,14 @@ class TestLogWeight:
     def test_same_agent_unit_noise(self):
         table = score_table({"g": ((0.0, 0.0), (1.0, 1.0))})
         expected = -0.5 * math.log(8 * math.pi)  # -1.6120857137646181
-        assert log_weight("a00", "a00", table, [G]) == pytest.approx(expected, abs=1e-12)
+        i = table.agent_index("a00")
+        assert log_weight_matrix(table, [G])[i, i] == pytest.approx(expected, abs=1e-12)
 
     def test_unit_mean_gap(self):
         table = score_table({"g": ((0.0, 1.0), (1.0, 1.0))})
         expected = -0.125 - 0.5 * math.log(8 * math.pi)  # -1.7370857137646181
-        assert log_weight("a00", "a01", table, [G]) == pytest.approx(expected, abs=1e-12)
+        i, j = table.agent_index("a00"), table.agent_index("a01")
+        assert log_weight_matrix(table, [G])[i, j] == pytest.approx(expected, abs=1e-12)
 
     def test_two_identical_games_double_the_value(self):
         one = score_table({"g": ((0.0, 1.0), (1.0, 1.0))})
@@ -43,31 +44,37 @@ class TestLogWeight:
                 "h": ((0.0, 1.0), (1.0, 1.0)),
             }
         )
-        single = log_weight("a00", "a01", one, [G])
-        both = log_weight("a00", "a01", two, score_keys(two))
+        i, j = one.agent_index("a00"), one.agent_index("a01")
+        single = log_weight_matrix(one, [G])[i, j]
+        both = log_weight_matrix(two, score_keys(two))[i, j]
         assert both == pytest.approx(2 * single, rel=1e-15)
 
     def test_matches_matrix_entry(self):
-        table = score_table({"g": ((0.0, 1.0, 3.0), (1.0, 0.5, 2.0))})
+        mus, sds = (0.0, 1.0, 3.0), (1.0, 0.5, 2.0)
+        table = score_table({"g": (mus, sds)})
         matrix = log_weight_matrix(table, [G])
         for i, obs in enumerate(table.agents):
             for j, cand in enumerate(table.agents):
-                assert log_weight(obs, cand, table, [G]) == pytest.approx(
-                    matrix[i, j], rel=1e-15
+                scale = sds[i] + sds[j]
+                expected = -((mus[i] - mus[j]) ** 2) / (2 * scale**2) - 0.5 * math.log(
+                    2 * math.pi * scale**2
                 )
+                entry = matrix[table.agent_index(obs), table.agent_index(cand)]
+                assert entry == pytest.approx(expected, rel=1e-15)
 
     def test_rss_combination(self):
         table = score_table({"g": ((0.0, 1.0), (1.0, 2.0))})
         scale = math.hypot(1.0, 2.0)
         expected = -1.0 / (2 * scale**2) - 0.5 * math.log(2 * math.pi * scale**2)
-        assert log_weight("a00", "a01", table, [G], noise="rss") == pytest.approx(
+        i, j = table.agent_index("a00"), table.agent_index("a01")
+        assert log_weight_matrix(table, [G], noise="rss")[i, j] == pytest.approx(
             expected, abs=1e-12
         )
 
     def test_unknown_noise_mode(self):
         table = score_table({"g": ((0.0, 1.0), (1.0, 1.0))})
         with pytest.raises(ValueError, match="noise"):
-            log_weight("a00", "a01", table, [G], noise="geometric")
+            log_weight_matrix(table, [G], noise="geometric")
 
 
 class TestConfusion:
@@ -163,10 +170,16 @@ class TestConfusion:
             ConfusionMatrix(("a", "b"), np.eye(3))
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             ConfusionMatrix(("a", "b"), np.array([[1.5, -0.5], [0.5, 0.5]]))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            ConfusionMatrix(("a", "b"), np.array([[np.nan, np.nan], [0.5, 0.5]]))
 
-    def test_row_lookup(self, three_agent_table):
-        c = confusion(three_agent_table, [G])
-        assert_allclose(c.row("a01"), c.probs[1], atol=0)
+    @pytest.mark.parametrize("sd", [1e200, 1e-170])
+    def test_non_finite_weights_are_a_domain_error(self, sd):
+        # 2*(sd+sd)^2 overflows to inf or underflows to 0, which would
+        # otherwise turn into NaN rows reported as log2(n) bits
+        table = score_table({"g": ((1.0, 1.0, 1.0), (sd, sd, sd))}, sigma_floor=sd)
+        with pytest.raises(DomainError, match="not finite"):
+            confusion(table, [G])
 
     def test_rss_differs_from_sum(self, three_agent_table):
         a = confusion(three_agent_table, [G]).probs

@@ -13,8 +13,9 @@ from conftest import (
     score_table,
 )
 from infobench.confusion import confusion
-from infobench.errors import CompletenessError
+from infobench.errors import CompletenessError, InfobenchError
 from infobench.infogain import (
+    greedy_select,
     info_gain_combined,
     info_gain_set,
     metric_keys_for,
@@ -24,6 +25,9 @@ from infobench.infogain import (
 from infobench.perf import Measure, MetricKey
 
 G = MetricKey("g", Measure.SCORE)
+
+MAGNITUDES = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-300, 299))
+SIGNED_MAGNITUDES = st.builds(lambda sign, v: sign * v, st.sampled_from((-1.0, 1.0)), MAGNITUDES)
 
 
 class TestMutualInformation:
@@ -57,6 +61,8 @@ class TestMutualInformation:
             mutual_information(np.array([[1.5, -0.5], [0.5, 0.5]]))
         with pytest.raises(ValueError, match="square"):
             mutual_information(np.ones((2, 3)) / 3.0)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            mutual_information(np.array([[np.nan, np.nan], [0.5, 0.5]]))
 
 
 class TestInfoGainSet:
@@ -96,6 +102,21 @@ class TestInfoGainSet:
         assert info_gain_set(both, score_keys(both)) > 2 * info_gain_set(
             base, score_keys(base)
         )
+
+    @given(
+        n=st.integers(2, 5),
+        cells=st.lists(st.tuples(SIGNED_MAGNITUDES, MAGNITUDES), min_size=1, max_size=3),
+        sigma_floor=st.integers(-300, -1).map(lambda e: 10.0**e),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_identical_agents_give_nothing_at_any_magnitude(self, n, cells, sigma_floor):
+        games = {f"p{j}": ((mu,) * n, (sd,) * n) for j, (mu, sd) in enumerate(cells)}
+        table = score_table(games, sigma_floor=sigma_floor)
+        try:
+            gain = info_gain_set(table, score_keys(table))
+        except InfobenchError:
+            return
+        assert abs(gain) <= 1e-9
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -149,8 +170,11 @@ class TestInfoGainCombined:
 
     def test_missing_measure_is_a_completeness_error(self):
         table = score_table({"g": ((0.0, 1.0), (1.0, 1.0))})
-        with pytest.raises(CompletenessError, match="win"):
+        missing = "no cell for problem 'g' measure 'win'"
+        with pytest.raises(CompletenessError, match=missing):
             info_gain_combined(table, "g")
+        with pytest.raises(CompletenessError, match=missing):
+            greedy_select(table, 1, "combined")
 
     def test_metric_keys_for_modes(self):
         assert metric_keys_for("p", "win") == (MetricKey("p", Measure.WIN_RATE),)

@@ -15,12 +15,12 @@ from infobench.perf import (
     PlaythroughRecord,
     aggregate,
     dumps_canonical_json,
+    load_stats,
     parse_records,
     read_stats_csv,
     read_stats_json,
     stats_json_document,
     write_stats_csv,
-    write_stats_json,
 )
 
 
@@ -79,10 +79,6 @@ class TestParseRecords:
     def test_empty_file(self):
         with pytest.raises(ParseError, match="empty"):
             parse("")
-
-    def test_unknown_format(self):
-        with pytest.raises(InputError, match="format"):
-            parse_records(io.StringIO("x"), fmt="parquet")
 
     def test_blank_lines_skipped_and_order_kept(self):
         records = parse("agent,problem,score,win\na1,g,1.0,1\n\na2,g,2.0,0\n")
@@ -283,9 +279,8 @@ class TestStatsIO:
         assert np.array_equal(back.counts, table.counts)
 
     def test_json_round_trip(self, table):
-        buf = io.StringIO()
-        write_stats_json(table, buf)
-        back = read_stats_json(io.StringIO(buf.getvalue()))
+        text = dumps_canonical_json(stats_json_document(table))
+        back = read_stats_json(io.StringIO(text))
         assert back.agents == table.agents
         assert np.array_equal(back.means, table.means)
 
@@ -303,6 +298,20 @@ class TestStatsIO:
         lines.append(lines[1])
         with pytest.raises(InputError, match="duplicate"):
             read_stats_csv(io.StringIO("\n".join(lines) + "\n"))
+
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_byte_order_mark_is_accepted(self, table, tmp_path, suffix):
+        if suffix == ".csv":
+            buf = io.StringIO()
+            write_stats_csv(table, buf)
+            text = buf.getvalue()
+        else:
+            text = dumps_canonical_json(stats_json_document(table))
+        path = tmp_path / f"stats{suffix}"
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        back = load_stats(path)
+        assert back.agents == table.agents
+        assert np.array_equal(back.means, table.means)
 
     def test_bad_stats_header(self):
         with pytest.raises(InputError, match="header"):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_score_table, score_keys
+from conftest import fixture_suite, random_score_table, score_keys
 from infobench.confusion import confusion
 from infobench.infogain import info_gain_set, greedy_select
 from infobench.perf import Measure, MetricKey, aggregate
@@ -11,7 +11,6 @@ from infobench.synth import (
     Archetype,
     SynthSpec,
     exact_table,
-    fixture_suite,
     generate,
     sampled_table,
 )
