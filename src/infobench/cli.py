@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .cluster import DEFAULT_THRESHOLD, CorrelationMatrix, cluster, correlation_matrix
+from .cluster import DEFAULT_THRESHOLD, cluster, correlation_matrix
 from .confusion import NOISE_MODES, confusion
 from .errors import DomainError, InputError
 from .heatmap import render_heatmap
@@ -58,6 +59,10 @@ def _read_config_file(path: str) -> dict[str, str]:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read config file: {exc}")
+    except UnicodeDecodeError as exc:
+        # the whole file is decoded at once, so the offset locates the line
+        lineno = exc.object[: exc.start].count(b"\n") + 1
+        raise InputError(f"config file {path} line {lineno}: not UTF-8 text ({exc.reason})")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -105,19 +110,6 @@ def _config_defaults(command: argparse.ArgumentParser, config: dict[str, str]) -
             raise InputError(f"config key {key!r}: {value!r} is not one of {tuple(action.choices)}")
         defaults[action.dest] = value
     return defaults
-
-
-def _check_ranges(args: argparse.Namespace) -> None:
-    """Reject out-of-range values, whether they came from flags or the config file."""
-    for name in ("k", "agents", "problems", "samples"):
-        if getattr(args, name, 1) < 1:
-            raise InputError(f"{name} must be a positive integer")
-    for name in ("sigma_floor", "eps_gain", "threshold", "gap", "sigma"):
-        if not getattr(args, name, 1.0) > 0:
-            raise InputError(f"{name} must be strictly positive")
-    bad = [f for f in getattr(args, "formats", ()) if f not in ALL_FORMATS]
-    if bad:
-        raise InputError(f"unknown output format(s): {', '.join(bad)}")
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +181,7 @@ def cmd_info_gain(args: argparse.Namespace) -> int:
     rows = _gain_rows(table, args.noise)
     out = _outdir(args)
     if "csv" in args.formats:
-        _write_csv(
-            out / "info_gain.csv",
-            ("problem", "win_bits", "score_bits", "combined_bits"),
-            [
-                (r["problem"], repr(r["win_bits"]), repr(r["score_bits"]), repr(r["combined_bits"]))
-                for r in rows
-            ],
-        )
+        _write_csv(out / "info_gain.csv", rows[0].keys(), (r.values() for r in rows))
     if "json" in args.formats:
         doc = {
             "noise": args.noise,
@@ -244,29 +229,19 @@ def cmd_select(args: argparse.Namespace) -> int:
         eps_gain=args.eps_gain,
         per_key=args.per_key,
     )
+    header = ("rank", "problem", "marginal_bits", "cumulative_bits")
+    steps = [
+        dict(zip(header, (rank, s.problem, s.marginal_bits, s.cumulative_bits)))
+        for rank, s in enumerate(report.steps, start=1)
+    ]
     out = _outdir(args)
     if "csv" in args.formats:
-        _write_csv(
-            out / "selection.csv",
-            ("rank", "problem", "marginal_bits", "cumulative_bits"),
-            [
-                (rank, s.problem, repr(s.marginal_bits), repr(s.cumulative_bits))
-                for rank, s in enumerate(report.steps, start=1)
-            ],
-        )
+        _write_csv(out / "selection.csv", header, (s.values() for s in steps))
     if "json" in args.formats:
         doc = {
             "mode": report.mode,
             "noise": args.noise,
-            "steps": [
-                {
-                    "rank": rank,
-                    "problem": s.problem,
-                    "marginal_bits": s.marginal_bits,
-                    "cumulative_bits": s.cumulative_bits,
-                }
-                for rank, s in enumerate(report.steps, start=1)
-            ],
+            "steps": steps,
             "stopped_early": report.stopped_early,
             "stop_reason": report.stop_reason,
             "negative_marginals": [
@@ -281,43 +256,31 @@ def cmd_select(args: argparse.Namespace) -> int:
     return 0
 
 
-def _correlation_csv_rows(corr: CorrelationMatrix):
-    for i, p in enumerate(corr.problems):
-        row = [p]
-        for v in corr.values[i]:
-            row.append("" if np.isnan(v) else repr(float(v)))
-        yield row
-
-
 def cmd_correlate(args: argparse.Namespace) -> int:
     table = load_stats(args.stats)
-    out = _outdir(args)
     for measure in (Measure.WIN_RATE, Measure.SCORE):
         name = measure.value
         corr = correlation_matrix(table, measure)
         clustering = cluster(corr, args.threshold)
+        out = _outdir(args)
+        # None marks an undefined entry: JSON null, an empty CSV field
+        matrix = [[None if math.isnan(v) else v for v in row] for row in corr.values.tolist()]
         if "csv" in args.formats:
             _write_csv(
                 out / f"correlation_{name}.csv",
                 ["problem", *corr.problems],
-                _correlation_csv_rows(corr),
+                ([p, *row] for p, row in zip(corr.problems, matrix)),
             )
             _write_csv(
                 out / f"clusters_{name}.csv",
                 ("problem", "cluster_id"),
-                [
-                    (p, "" if cid is None else cid)
-                    for p, cid in sorted(clustering.assignments().items())
-                ],
+                sorted(clustering.assignments().items()),
             )
         if "json" in args.formats:
             doc = {
                 "measure": name,
                 "problems": list(corr.problems),
-                "matrix": [
-                    [None if np.isnan(v) else float(v) for v in row]
-                    for row in corr.values
-                ],
+                "matrix": matrix,
                 "threshold": args.threshold,
                 "clusters": [list(c) for c in clustering.clusters],
                 "no_correlation_measure": list(clustering.excluded),
@@ -335,26 +298,25 @@ def cmd_correlate(args: argparse.Namespace) -> int:
 
 def cmd_confusion(args: argparse.Namespace) -> int:
     table = load_stats(args.stats)
-    if not args.problems_list:
-        raise InputError("missing --problems LIST (comma-separated problem identifiers)")
     keys: list[MetricKey] = []
     for p in args.problems_list:
         keys.extend(metric_keys_for(p, args.metric))
     matrix = confusion(table, keys, args.noise)
+    probs = matrix.probs.tolist()
     out = _outdir(args)
     if "csv" in args.formats:
-        rows = [
-            [agent, *(repr(float(v)) for v in matrix.probs[i])]
-            for i, agent in enumerate(matrix.agents)
-        ]
-        _write_csv(out / "confusion.csv", ["agent", *matrix.agents], rows)
+        _write_csv(
+            out / "confusion.csv",
+            ["agent", *matrix.agents],
+            ([agent, *row] for agent, row in zip(matrix.agents, probs)),
+        )
     if "json" in args.formats:
         doc = {
             "agents": list(matrix.agents),
             "metric": args.metric,
             "noise": args.noise,
             "problems": list(args.problems_list),
-            "rows": [[float(v) for v in row] for row in matrix.probs],
+            "rows": probs,
         }
         _write_text(out / "confusion.json", dumps_canonical_json(doc))
     print(f"confusion matrix over {len(matrix.agents)} agents, {len(keys)} metric key(s)")
@@ -380,7 +342,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     _write_csv(
         _outdir(args) / "playthroughs.csv",
         ("agent", "problem", "score", "win"),
-        ((r.agent, r.problem, repr(r.score), int(r.win)) for r in records),
+        ((r.agent, r.problem, r.score, int(r.win)) for r in records),
     )
     print(
         f"{len(records)} records: {spec.agents} agents x "
@@ -489,7 +451,9 @@ def main(argv: list[str] | None = None) -> int:
             command = commands.choices[args.command]
             command.set_defaults(**_config_defaults(command, _read_config_file(args.config)))
             args = parser.parse_args(argv)
-        _check_ranges(args)
+        bad = [f for f in getattr(args, "formats", ()) if f not in ALL_FORMATS]
+        if bad:
+            raise InputError(f"unknown output format(s): {', '.join(bad)}")
         return _COMMANDS[args.command](args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InputError
 from .perf import Measure, MetricKey, PerformanceTable
 
 DEFAULT_THRESHOLD = 0.8
@@ -119,8 +119,8 @@ def cluster(
     from scipy.cluster.hierarchy import fcluster, leaves_list, linkage
     from scipy.spatial.distance import squareform
 
-    if threshold <= 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
+    if not threshold > 0:
+        raise InputError(f"threshold must be positive, got {threshold}")
     defined = corr.defined_mask
     excluded = tuple(p for p, ok in zip(corr.problems, defined) if not ok)
     kept = [p for p, ok in zip(corr.problems, defined) if ok]

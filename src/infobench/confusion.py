@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InputError
 from .perf import MetricKey, PerformanceTable
 
 ROW_SUM_TOL = 1e-9
@@ -34,7 +34,7 @@ def _pair_scales(stddevs: np.ndarray, noise: str) -> np.ndarray:
         return stddevs[:, None] + stddevs[None, :]
     if noise == "rss":
         return np.hypot(stddevs[:, None], stddevs[None, :])
-    raise ValueError(f"unknown noise combination {noise!r}, expected one of {NOISE_MODES}")
+    raise InputError(f"unknown noise combination {noise!r}, expected one of {NOISE_MODES}")
 
 
 def validate_metric_keys(
@@ -42,9 +42,9 @@ def validate_metric_keys(
 ) -> tuple[MetricKey, ...]:
     keys = tuple(keys)
     if not keys:
-        raise ValueError("metric key set must be non-empty")
+        raise InputError("metric key set must be non-empty")
     if len(set(keys)) != len(keys):
-        raise ValueError("metric key set contains duplicates")
+        raise InputError("metric key set contains duplicates")
     for k in keys:
         table.key_index(k)
     return keys

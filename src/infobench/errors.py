@@ -3,6 +3,8 @@
 Two top-level families map onto the CLI exit-code contract:
 ``InputError`` (bad or incomplete input data, exit code 2) and
 ``DomainError`` (mathematically undefined request, exit code 1).
+``InputError`` is also a ``ValueError``, so library callers that catch
+``ValueError`` for a bad argument keep working.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ class InfobenchError(Exception):
     """Base class for all package errors."""
 
 
-class InputError(InfobenchError):
-    """Malformed, missing, or inconsistent input data."""
+class InputError(InfobenchError, ValueError):
+    """Malformed, missing, or inconsistent input data, or an argument out of range."""
 
 
 class ParseError(InputError):

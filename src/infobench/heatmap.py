@@ -96,12 +96,8 @@ def render_heatmap(
         pos += len(members)
         if pos < n:
             boundaries.append(pos)
-    if clustering.excluded and len(clustering.dendrogram.leaf_order) < n:
-        cut = len(clustering.dendrogram.leaf_order)
-        if cut not in boundaries and 0 < cut < n:
-            boundaries.append(cut)
     extent = n * CELL
-    for b in sorted(boundaries):
+    for b in boundaries:
         offset = b * CELL
         parts.append(
             f'<line x1="{x0 + offset}" y1="{y0}" x2="{x0 + offset}" '

@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .confusion import ConfusionMatrix, check_row_stochastic, confusion
+from .errors import InputError
 from .perf import Measure, MetricKey, PerformanceTable
 
 EPS_GAIN = 1e-9
@@ -65,7 +66,7 @@ def metric_keys_for(problem: str, mode: str) -> tuple[MetricKey, ...]:
             MetricKey(problem, Measure.WIN_RATE),
             MetricKey(problem, Measure.SCORE),
         )
-    raise ValueError(f"unknown mode {mode!r}, expected one of {SELECTION_MODES}")
+    raise InputError(f"unknown mode {mode!r}, expected one of {SELECTION_MODES}")
 
 
 def info_gain_combined(
@@ -103,9 +104,12 @@ class SelectionReport:
 
     mode: str
     steps: tuple[SelectionStep, ...]
-    stopped_early: bool = False
     stop_reason: str | None = None
     negative_marginals: tuple[NegativeMarginal, ...] = ()
+
+    @property
+    def stopped_early(self) -> bool:
+        return self.stop_reason is not None
 
     @property
     def selected(self) -> tuple[str, ...]:
@@ -153,8 +157,10 @@ def greedy_select(
     and identifiers read ``problem:measure``.  Candidates are scored in
     sorted order and ties break lexicographically, so reruns are identical.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    if not k > 0:
+        raise InputError(f"k must be a positive integer, got {k}")
+    if not eps_gain > 0:
+        raise InputError(f"eps_gain must be positive, got {eps_gain}")
     units = _candidate_units(table, mode, per_key)
     if k > len(units):
         warnings.warn(
@@ -168,7 +174,6 @@ def greedy_select(
     steps: list[SelectionStep] = []
     negatives: list[NegativeMarginal] = []
     cumulative = 0.0
-    stopped_early = False
     stop_reason = None
 
     for step in range(1, k + 1):
@@ -179,7 +184,6 @@ def greedy_select(
                 negatives.append(NegativeMarginal(step, c, gains[c]))
         best = _argmax_candidate(gains, eps_gain)
         if gains[best] <= eps_gain:
-            stopped_early = True
             stop_reason = (
                 f"stopped at step {step}: no remaining candidate adds more than "
                 f"{eps_gain:g} bits (best was {best!r} at {gains[best]:.3g} bits)"
@@ -193,7 +197,6 @@ def greedy_select(
     return SelectionReport(
         mode="per-key" if per_key else mode,
         steps=tuple(steps),
-        stopped_early=stopped_early,
         stop_reason=stop_reason,
         negative_marginals=tuple(negatives),
     )

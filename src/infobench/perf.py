@@ -50,8 +50,15 @@ class MetricKey(tuple):
 
     __slots__ = ()
 
-    def __new__(cls, problem: str, measure: Measure):
-        return super().__new__(cls, (problem, Measure(measure)))
+    def __new__(cls, problem: str, measure: Measure | str):
+        try:
+            measure = Measure(measure)
+        except ValueError:
+            raise InputError(
+                f"unknown measure {measure!r}, expected one of "
+                f"{tuple(m.value for m in Measure)}"
+            ) from None
+        return super().__new__(cls, (problem, measure))
 
     @property
     def problem(self) -> str:
@@ -99,6 +106,13 @@ def parse_records(stream: IO[str]) -> list[PlaythroughRecord]:
     """
     reader = csv.reader(stream)
     try:
+        return _parse_rows(reader)
+    except csv.Error as exc:
+        raise ParseError(str(exc), reader.line_num) from None
+
+
+def _parse_rows(reader) -> list[PlaythroughRecord]:
+    try:
         header = next(reader)
     except StopIteration:
         raise ParseError("empty file, expected header 'agent,problem,score,win'", 1)
@@ -138,7 +152,15 @@ def parse_records(stream: IO[str]) -> list[PlaythroughRecord]:
 def parse_records_path(path: str | Path) -> list[PlaythroughRecord]:
     # utf-8-sig drops the byte-order mark that spreadsheet exports prepend
     with open(path, newline="", encoding="utf-8-sig") as f:
-        return parse_records(f)
+        try:
+            return parse_records(f)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
+
+
+def _not_utf8(path: str | Path, exc: UnicodeDecodeError) -> InputError:
+    # the decoder works on buffered chunks, so the line is not known here
+    return InputError(f"{path}: not UTF-8 text ({exc.reason})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,6 +300,8 @@ def aggregate(
     error unless ``allow_missing`` is set, in which case agents lacking
     full coverage are dropped (with a warning).
     """
+    if not sigma_floor > 0:
+        raise InputError(f"sigma_floor must be positive, got {sigma_floor}")
     scores: dict[tuple[str, str], list[float]] = {}
     wins: dict[tuple[str, str], list[float]] = {}
     for r in records:
@@ -345,8 +369,7 @@ def _stats_rows(table: PerformanceTable):
 def write_stats_csv(table: PerformanceTable, stream: IO[str]) -> None:
     w = csv.writer(stream, lineterminator="\n")
     w.writerow(STATS_HEADER)
-    for agent, problem, measure, mean, stddev, count in _stats_rows(table):
-        w.writerow([agent, problem, measure, repr(mean), repr(stddev), count])
+    w.writerows(_stats_rows(table))
 
 
 def stats_json_document(table: PerformanceTable) -> dict:
@@ -354,17 +377,7 @@ def stats_json_document(table: PerformanceTable) -> dict:
         "agents": list(table.agents),
         "problems": list(table.problems),
         "sigma_floor": table.sigma_floor,
-        "cells": [
-            {
-                "agent": agent,
-                "problem": problem,
-                "measure": measure,
-                "mean": mean,
-                "stddev": stddev,
-                "count": count,
-            }
-            for agent, problem, measure, mean, stddev, count in _stats_rows(table)
-        ],
+        "cells": [dict(zip(STATS_HEADER, row)) for row in _stats_rows(table)],
     }
 
 
@@ -380,7 +393,7 @@ def dumps_canonical_json(document) -> str:
 def _cells_from_row_iter(rows, sigma_floor) -> PerformanceTable:
     cells: dict[tuple[str, MetricKey], PerformanceStat] = {}
     for agent, problem, measure, mean, stddev, count in rows:
-        key = (agent, MetricKey(problem, Measure(measure)))
+        key = (agent, MetricKey(problem, measure))
         if key in cells:
             raise InputError(
                 f"duplicate stats row for agent {agent!r}, "
@@ -394,6 +407,13 @@ def read_stats_csv(
     stream: IO[str], sigma_floor: float = SIGMA_FLOOR_DEFAULT
 ) -> PerformanceTable:
     reader = csv.reader(stream)
+    try:
+        return _read_stats_rows(reader, sigma_floor)
+    except csv.Error as exc:
+        raise InputError(f"stats line {reader.line_num}: {exc}") from None
+
+
+def _read_stats_rows(reader, sigma_floor: float) -> PerformanceTable:
     try:
         header = next(reader)
     except StopIteration:
@@ -426,6 +446,8 @@ def read_stats_json(stream: IO[str]) -> PerformanceTable:
         doc = json.load(stream)
     except json.JSONDecodeError as exc:
         raise InputError(f"bad stats JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise InputError(f"bad stats JSON structure: top level is {type(doc).__name__}, not object")
     try:
         sigma_floor = float(doc.get("sigma_floor", SIGMA_FLOOR_DEFAULT))
         rows = [
@@ -448,6 +470,9 @@ def load_stats(path: str | Path) -> PerformanceTable:
     """Read an aggregated-stats file, dispatching on the extension."""
     path = Path(path)
     with open(path, newline="", encoding="utf-8-sig") as f:
-        if path.suffix.lower() == ".json":
-            return read_stats_json(f)
-        return read_stats_csv(f)
+        try:
+            if path.suffix.lower() == ".json":
+                return read_stats_json(f)
+            return read_stats_csv(f)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
 from .perf import (
     Measure,
     MetricKey,
@@ -47,11 +48,13 @@ class Archetype:
 
     def __post_init__(self):
         if self.kind not in ARCHETYPE_KINDS:
-            raise ValueError(f"unknown archetype {self.kind!r}")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+            raise InputError(f"unknown archetype {self.kind!r}")
+        if not self.gap > 0:
+            raise InputError(f"gap must be positive, got {self.gap}")
+        if not self.sigma > 0:
+            raise InputError(f"sigma must be positive, got {self.sigma}")
         if (self.kind == "duplicate") != (self.source is not None):
-            raise ValueError("source must be given for duplicates and only for them")
+            raise InputError("source must be given for duplicates and only for them")
 
 
 @dataclass(frozen=True)
@@ -64,15 +67,15 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.agents < 1:
-            raise ValueError("need at least one agent")
+        if not self.agents > 0:
+            raise InputError("need at least one agent")
         if not self.archetypes:
-            raise ValueError("need at least one problem archetype")
-        if self.samples_per_cell < 1:
-            raise ValueError("need at least one sample per cell")
+            raise InputError("need at least one problem archetype")
+        if not self.samples_per_cell > 0:
+            raise InputError("need at least one sample per cell")
         for i, arch in enumerate(self.archetypes):
             if arch.kind == "duplicate" and not 0 <= arch.source < i:
-                raise ValueError(
+                raise InputError(
                     f"problem {i}: duplicate source {arch.source} must point to "
                     "an earlier problem"
                 )

@@ -157,13 +157,99 @@ class TestExitCodes:
         assert run("correlate", "--stats", stats, "--out", tmp_path) == 1
         assert "three agents" in capsys.readouterr().err
 
-    def test_invalid_numeric_flag(self, corpus):
-        assert run("select", "--stats", corpus / "stats.csv", "--k", 0,
-                   "--out", corpus) == 2
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command, key, value", [
+        ("select", "k", "0"),
+        ("select", "eps-gain", "0"),
+        ("correlate", "threshold", "0"),
+        ("correlate", "threshold", "nan"),
+        ("ingest", "sigma-floor", "0"),
+        ("synth", "samples", "0"),
+        ("synth", "agents", "0"),
+        ("synth", "problems", "0"),
+        ("synth", "gap", "0"),
+        ("synth", "sigma", "0"),
+    ])
+    def test_invalid_numeric_flag(self, corpus, tmp_path, capsys, command, key, value, source):
+        inputs = {
+            "ingest": ("--input", corpus.parent / "data" / "playthroughs.csv"),
+            "synth": (),
+        }.get(command, ("--stats", corpus / "stats.csv"))
+        if source == "flag":
+            setting = (f"--{key}", value)
+        else:
+            cfg = tmp_path / "run.conf"
+            cfg.write_text(f"{key}={value}\n")
+            setting = ("--config", cfg)
+        out = tmp_path / "rejected"
+        assert run(command, *inputs, *setting, "--out", out) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_format(self, corpus):
         assert run("info-gain", "--stats", corpus / "stats.csv",
                    "--out", corpus, "--format", "xlsx") == 2
+
+    def test_unknown_measure_in_stats_exits_2(self, corpus, tmp_path, capsys):
+        stats = tmp_path / "bogus.csv"
+        stats.write_text((corpus / "stats.csv").read_text().replace(",win,", ",bogus,"))
+        out = tmp_path / "out"
+        assert run("info-gain", "--stats", stats, "--out", out) == 2
+        assert "unknown measure 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_problem_exits_2(self, corpus, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("confusion", "--stats", corpus / "stats.csv",
+                   "--problems", "prob00,prob00", "--out", out) == 2
+        assert "duplicates" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["playthroughs", "stats", "config"])
+    def test_non_utf8_file_exits_2(self, corpus, tmp_path, capsys, kind):
+        bad = tmp_path / f"{kind}.bad"
+        if kind == "playthroughs":
+            bad.write_bytes(b"agent,problem,score,win\na\xff1,g,1.0,1\n")
+            argv = ("ingest", "--input", bad)
+        elif kind == "stats":
+            bad.write_bytes((corpus / "stats.csv").read_bytes() + b"a\xff,g,win,0.5,0.1,3\n")
+            argv = ("info-gain", "--stats", bad)
+        else:
+            bad.write_bytes(b"k=2\nmetric=sc\xffore\n")
+            argv = ("select", "--stats", corpus / "stats.csv", "--config", bad)
+        out = tmp_path / "out"
+        assert run(*argv, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "not UTF-8" in err
+        if kind == "config":
+            assert "line 2" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["playthroughs", "stats"])
+    def test_oversized_csv_field_exits_2(self, corpus, tmp_path, capsys, kind):
+        huge = "x" * 200_000
+        bad = tmp_path / f"{kind}.csv"
+        if kind == "playthroughs":
+            bad.write_text(f"agent,problem,score,win\na1,g,1.0,1\na1,{huge},1.0,1\n")
+            argv = ("ingest", "--input", bad)
+        else:
+            bad.write_text(f"agent,problem,measure,mean,stddev,count\na1,{huge},win,0.5,0.1,3\n")
+            argv = ("info-gain", "--stats", bad)
+        out = tmp_path / "out"
+        assert run(*argv, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "field limit" in err
+        assert ("line 3" if kind == "playthroughs" else "line 2") in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("document", ["[]", '"x"'])
+    def test_stats_json_that_is_not_an_object_exits_2(self, tmp_path, capsys, document):
+        stats = tmp_path / "stats.json"
+        stats.write_text(document)
+        out = tmp_path / "out"
+        assert run("info-gain", "--stats", stats, "--out", out) == 2
+        assert "not object" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_byte_order_mark_header_is_accepted(self, tmp_path):
         rows = "agent,problem,score,win\na1,g,1.0,1\na1,g,2.5,0\na2,g,4.0,1\na2,g,0.5,0\n"

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from conftest import PEARSON_123_124, random_score_table, score_table
 from infobench.cluster import cluster, correlation_matrix
-from infobench.errors import DomainError
+from infobench.errors import DomainError, InputError
 from infobench.perf import Measure
 from reference_cluster import naive_ward_partition
 
@@ -141,6 +141,8 @@ class TestCluster:
         corr = corr_of({"g": (1.0, 2.0, 3.0), "h": (3.0, 2.0, 1.0)})
         with pytest.raises(ValueError, match="threshold"):
             cluster(corr, 0.0)
+        with pytest.raises(InputError, match="threshold"):
+            cluster(corr, float("nan"))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_agrees_with_naive_reference_on_random_fixtures(self, seed):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import full_table, score_table
+from infobench.errors import InputError
 from infobench.infogain import (
     _argmax_candidate,
     greedy_select,
@@ -141,6 +142,11 @@ class TestGreedySelect:
     def test_invalid_k(self):
         with pytest.raises(ValueError, match="k must be"):
             greedy_select(abc_table(), 0)
+
+    @pytest.mark.parametrize("eps_gain", [0.0, -1e-9, float("nan")])
+    def test_invalid_eps_gain(self, eps_gain):
+        with pytest.raises(InputError, match="eps_gain must be"):
+            greedy_select(abc_table(), 2, eps_gain=eps_gain)
 
     def test_win_and_score_modes_use_their_measure(self):
         table = full_table(

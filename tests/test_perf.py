@@ -168,6 +168,11 @@ class TestAggregate:
         with pytest.raises(InputError):
             aggregate([])
 
+    @pytest.mark.parametrize("floor", [0.0, -1.0, float("nan")])
+    def test_non_positive_sigma_floor(self, floor):
+        with pytest.raises(InputError, match="sigma_floor must be"):
+            aggregate([rec("a1", "g", 1.0, True), rec("a1", "g", 2.0, False)], floor)
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_permutation_invariance_bitwise(self, seed):

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import fixture_suite, random_score_table, score_keys
 from infobench.confusion import confusion
+from infobench.errors import InputError
 from infobench.infogain import info_gain_set, greedy_select
 from infobench.perf import Measure, MetricKey, aggregate
 from infobench.synth import (
@@ -38,6 +39,12 @@ class TestSpecValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="archetype"):
             Archetype("zigzag")
+
+    @pytest.mark.parametrize("field", ["gap", "sigma"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    def test_positive_gap_and_sigma(self, field, value):
+        with pytest.raises(InputError, match=f"{field} must be positive"):
+            Archetype("linear", **{field: value})
 
     def test_positive_counts(self):
         with pytest.raises(ValueError):
