@@ -26,8 +26,9 @@ from .infogain import (
     EPS_GAIN,
     SELECTION_MODES,
     greedy_select,
-    info_gain_set,
+    info_gain_set,  # noqa: F401  (unused here; perfbench/tracing.py wraps cli.info_gain_set)
     metric_keys_for,
+    problem_gains,
 )
 from .perf import (
     Measure,
@@ -169,8 +170,8 @@ def _gain_rows(table: PerformanceTable, noise: str) -> list[dict]:
     rows = []
     for problem in table.problems:
         row = {"problem": problem}
-        for mode in SELECTION_MODES:
-            row[f"{mode}_bits"] = info_gain_set(table, metric_keys_for(problem, mode), noise)
+        for mode, bits in problem_gains(table, problem, noise).items():
+            row[f"{mode}_bits"] = bits
         rows.append(row)
     rows.sort(key=lambda r: (-r["combined_bits"], r["problem"]))
     return rows
@@ -258,11 +259,14 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 def cmd_correlate(args: argparse.Namespace) -> int:
     table = load_stats(args.stats)
+    # both measures are clustered before anything is written, so a domain
+    # error on the second leaves no files from the first
+    results = []
     for measure in (Measure.WIN_RATE, Measure.SCORE):
-        name = measure.value
         corr = correlation_matrix(table, measure)
-        clustering = cluster(corr, args.threshold)
-        out = _outdir(args)
+        results.append((measure.value, corr, cluster(corr, args.threshold)))
+    out = _outdir(args)
+    for name, corr, clustering in results:
         # None marks an undefined entry: JSON null, an empty CSV field
         matrix = [[None if math.isnan(v) else v for v in row] for row in corr.values.tolist()]
         if "csv" in args.formats:

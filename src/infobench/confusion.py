@@ -50,20 +50,55 @@ def validate_metric_keys(
     return keys
 
 
+def log_weight_term(table: PerformanceTable, key: MetricKey, noise: str = "sum") -> np.ndarray:
+    """One key's unnormalized log belief weights, entry (i, j) for observed
+    i, candidate j.  Over a key set the terms add up.
+
+    Squared noise scales or mean gaps above ~1e154 overflow, and squared
+    scales below ~1e-162 underflow to 0; the inf/NaN weights that follow
+    are rejected by ``confusion_from_log_weights``, never read as a
+    probability.
+    """
+    mu, sd = table.column(key)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        scale = _pair_scales(sd, noise)
+        diff = mu[:, None] - mu[None, :]
+        var2 = 2.0 * scale * scale
+        return -(diff * diff) / var2 - 0.5 * np.log(np.pi * var2)
+
+
+def add_log_weights(total: np.ndarray, terms) -> np.ndarray:
+    """``total`` plus each term, in order; a sum that overflows stays
+    non-finite for the same check as an overflowing term."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for term in terms:
+            total = total + term
+    return total
+
+
 def log_weight_matrix(
     table: PerformanceTable, keys: Sequence[MetricKey], noise: str = "sum"
 ) -> np.ndarray:
     """Unnormalized log belief weights, entry (i, j) for observed i, candidate j."""
     keys = validate_metric_keys(table, keys)
     n = len(table.agents)
-    total = np.zeros((n, n))
-    for key in keys:
-        mu, sd = table.column(key)
-        scale = _pair_scales(sd, noise)
-        diff = mu[:, None] - mu[None, :]
-        var2 = 2.0 * scale * scale
-        total += -(diff * diff) / var2 - 0.5 * np.log(np.pi * var2)
-    return total
+    return add_log_weights(np.zeros((n, n)), (log_weight_term(table, k, noise) for k in keys))
+
+
+def log_weight_terms(
+    table: PerformanceTable, keys: Sequence[MetricKey], noise: str = "sum"
+) -> dict[MetricKey, np.ndarray]:
+    """Each key's log weights on its own, computed once per key.
+
+    Added to zeros in key order they give ``log_weight_matrix(table, keys)``
+    bit for bit, so a caller that scores many key sets sharing keys can
+    sum these instead of recomputing every term.  Each is
+    ``log_weight_matrix`` over the one key, so the term counts of
+    perfbench's tracer include them.
+    """
+    _require_two_agents(table)
+    keys = validate_metric_keys(table, keys)
+    return {key: log_weight_matrix(table, (key,), noise) for key in keys}
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,20 +142,27 @@ def softmax_rows(log_weights: np.ndarray) -> np.ndarray:
     return weights / weights.sum(axis=1, keepdims=True)
 
 
-def confusion(
-    table: PerformanceTable, keys: Sequence[MetricKey], noise: str = "sum"
-) -> ConfusionMatrix:
-    """Confusion matrix over the table's agents for the given key set."""
+def _require_two_agents(table: PerformanceTable) -> None:
     if len(table.agents) < 2:
         raise DomainError("discrimination undefined for fewer than two algorithms")
-    # squared noise scales or mean gaps above ~1e154 overflow, and squared
-    # scales below ~1e-162 underflow to 0; the inf/NaN weights that follow
-    # are an error here, never a probability
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        log_w = log_weight_matrix(table, keys, noise)
-    if not np.isfinite(log_w).all():
+
+
+def confusion_from_log_weights(
+    agents: tuple[str, ...], log_weights: np.ndarray
+) -> ConfusionMatrix:
+    """Normalize summed log weights into a confusion matrix, refusing
+    inf/NaN weights rather than turning them into probabilities."""
+    if not np.isfinite(log_weights).all():
         raise DomainError(
             "belief weights are not finite: means or noise scales are too large "
             "or too small to square in floating point"
         )
-    return ConfusionMatrix(table.agents, softmax_rows(log_w))
+    return ConfusionMatrix(agents, softmax_rows(log_weights))
+
+
+def confusion(
+    table: PerformanceTable, keys: Sequence[MetricKey], noise: str = "sum"
+) -> ConfusionMatrix:
+    """Confusion matrix over the table's agents for the given key set."""
+    _require_two_agents(table)
+    return confusion_from_log_weights(table.agents, log_weight_matrix(table, keys, noise))

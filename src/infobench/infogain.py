@@ -17,7 +17,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .confusion import ConfusionMatrix, check_row_stochastic, confusion
+from .confusion import (
+    ConfusionMatrix,
+    add_log_weights,
+    check_row_stochastic,
+    confusion,
+    confusion_from_log_weights,
+    log_weight_terms,
+)
 from .errors import InputError
 from .perf import Measure, MetricKey, PerformanceTable
 
@@ -55,6 +62,10 @@ def info_gain_set(
     return mutual_information(confusion(table, keys, noise))
 
 
+def _gain_of_log_weights(table: PerformanceTable, log_weights: np.ndarray) -> float:
+    return mutual_information(confusion_from_log_weights(table.agents, log_weights))
+
+
 def metric_keys_for(problem: str, mode: str) -> tuple[MetricKey, ...]:
     """The metric-key bundle one problem contributes under a selection mode."""
     if mode == "win":
@@ -74,6 +85,21 @@ def info_gain_combined(
 ) -> float:
     """Gain of one problem using its win rate and score as two measurements."""
     return info_gain_set(table, metric_keys_for(problem, "combined"), noise)
+
+
+def problem_gains(table: PerformanceTable, problem: str, noise: str = "sum") -> dict[str, float]:
+    """Gain in bits of one problem under each selection mode.
+
+    The win and score terms are computed once; ``combined`` adds the same
+    two terms in the order ``info_gain_set`` would, so all three gains
+    equal its results bit for bit.
+    """
+    win, score = log_weight_terms(table, metric_keys_for(problem, "combined"), noise).values()
+    return {
+        "win": _gain_of_log_weights(table, win),
+        "score": _gain_of_log_weights(table, score),
+        "combined": _gain_of_log_weights(table, add_log_weights(win, [score])),
+    }
 
 
 @dataclass(frozen=True)
@@ -169,15 +195,24 @@ def greedy_select(
         )
         k = len(units)
 
-    selected_keys: list[MetricKey] = []
     remaining = sorted(units)
+    # each key's term is computed once; a candidate's log weights are the
+    # selected set's running sum plus its own terms, added in the order
+    # info_gain_set(selected + candidate) would, so gains are bit-identical
+    terms = log_weight_terms(table, [key for c in remaining for key in units[c]], noise)
+    unit_terms = {c: [terms[key] for key in units[c]] for c in remaining}
+    n = len(table.agents)
+    selected_log_weights = np.zeros((n, n))
     steps: list[SelectionStep] = []
     negatives: list[NegativeMarginal] = []
     cumulative = 0.0
     stop_reason = None
 
     for step in range(1, k + 1):
-        totals = {c: info_gain_set(table, selected_keys + list(units[c]), noise) for c in remaining}
+        totals = {
+            c: _gain_of_log_weights(table, add_log_weights(selected_log_weights, unit_terms[c]))
+            for c in remaining
+        }
         gains = {c: totals[c] - cumulative for c in remaining}
         for c in sorted(gains):
             if gains[c] < -eps_gain:
@@ -189,7 +224,7 @@ def greedy_select(
                 f"{eps_gain:g} bits (best was {best!r} at {gains[best]:.3g} bits)"
             )
             break
-        selected_keys.extend(units[best])
+        selected_log_weights = add_log_weights(selected_log_weights, unit_terms[best])
         steps.append(SelectionStep(best, totals[best] - cumulative, totals[best]))
         cumulative = totals[best]
         remaining.remove(best)
@@ -228,9 +263,9 @@ def subadditivity_audit(
     """
     violations = []
     for problem in table.problems:
-        win = info_gain_set(table, metric_keys_for(problem, "win"), noise)
-        score = info_gain_set(table, metric_keys_for(problem, "score"), noise)
-        combined = info_gain_set(table, metric_keys_for(problem, "combined"), noise)
-        if combined - (win + score) > tol:
-            violations.append(SubadditivityViolation(problem, win, score, combined))
+        gains = problem_gains(table, problem, noise)
+        if gains["combined"] - (gains["win"] + gains["score"]) > tol:
+            violations.append(
+                SubadditivityViolation(problem, gains["win"], gains["score"], gains["combined"])
+            )
     return violations

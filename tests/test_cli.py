@@ -268,7 +268,8 @@ class TestExitCodes:
         assert "(a1, g) score" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_non_finite_belief_weights_exit_1_without_output(self, tmp_path, capsys):
+    @staticmethod
+    def huge_noise_stats(tmp_path):
         # two of three agents at stddev 1e200 carry no information; the
         # squared noise scale overflows and must not read as log2(3) bits
         table = full_table({"g": {"win": ((0.5, 0.5, 0.5), (1e200, 1e200, 0.1)),
@@ -276,11 +277,37 @@ class TestExitCodes:
         stats = tmp_path / "stats.csv"
         with open(stats, "w", newline="") as f:
             write_stats_csv(table, f)
+        return stats
+
+    def test_non_finite_belief_weights_exit_1_without_output(self, tmp_path, capsys):
+        stats = self.huge_noise_stats(tmp_path)
         out = tmp_path / "out"
         assert run("info-gain", "--stats", stats, "--out", out) == 1
         assert run("confusion", "--stats", stats, "--problems", "g", "--out", out) == 1
         err = capsys.readouterr().err
         assert err.count("error:") == 2
+        assert not out.exists()
+
+    def test_select_on_non_finite_belief_weights_exits_1_without_output(self, tmp_path, capsys):
+        stats = self.huge_noise_stats(tmp_path)
+        out = tmp_path / "out"
+        assert run("select", "--stats", stats, "--k", 1, "--out", out) == 1
+        assert "error: belief weights are not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_correlate_domain_error_on_second_measure_writes_nothing(self, tmp_path, capsys):
+        # win rates correlate, but every score mean is 5.0, so the score
+        # measure has no defined correlation to cluster
+        table = full_table({
+            p: {"win": (wins, (0.1, 0.1, 0.1)), "score": ((5.0, 5.0, 5.0), (1.0, 1.0, 1.0))}
+            for p, wins in (("g1", (0.2, 0.5, 0.9)), ("g2", (0.3, 0.4, 0.8)))
+        })
+        stats = tmp_path / "stats.csv"
+        with open(stats, "w", newline="") as f:
+            write_stats_csv(table, f)
+        out = tmp_path / "out"
+        assert run("correlate", "--stats", stats, "--out", out) == 1
+        assert "error: no problem has a defined correlation" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_measure_exits_2_without_output(self, tmp_path, capsys):

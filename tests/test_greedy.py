@@ -1,12 +1,14 @@
 import itertools
 import math
 import random
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import full_table, score_table
-from infobench.errors import InputError
+from infobench.errors import DomainError, InputError
 from infobench.infogain import (
     _argmax_candidate,
     greedy_select,
@@ -15,6 +17,22 @@ from infobench.infogain import (
 )
 from infobench.perf import Measure, MetricKey
 from reference_oracle import oracle_best_subset, oracle_greedy_select, oracle_info_gain
+
+# the package attribute infobench.confusion is the function, not the module
+confusion_module = sys.modules["infobench.confusion"]
+
+
+def random_table(n_agents, n_problems, seed):
+    rng = np.random.default_rng(seed)
+    return full_table(
+        {
+            f"p{j:02d}": {
+                "win": (rng.uniform(0.1, 0.9, n_agents), rng.uniform(0.2, 0.5, n_agents)),
+                "score": (rng.uniform(-5, 5, n_agents), rng.uniform(0.5, 3.0, n_agents)),
+            }
+            for j in range(n_problems)
+        }
+    )
 
 
 def abc_table():
@@ -110,20 +128,45 @@ class TestGreedySelect:
         assert len(report.steps) <= 3
         assert not set(report.selected) - {"a_split", "b_twin", "c_split"}
 
-    def test_cumulative_matches_prefix_gain(self):
-        table = abc_table()
-        report = greedy_select(table, 3)
+    @pytest.mark.parametrize("per_key", [False, True])
+    @pytest.mark.parametrize("mode", ["win", "score", "combined"])
+    def test_cumulative_matches_prefix_gain(self, mode, per_key):
+        # the running log-weight sum adds the keys in the order
+        # info_gain_set does, so the gains agree to the last bit
+        table = random_table(5, 6, seed=7)
+        report = greedy_select(table, 4, mode, per_key=per_key)
+        assert len(report.steps) >= 2
         chosen: list[MetricKey] = []
         for step in report.steps:
-            chosen.extend(metric_keys_for(step.problem, "combined"))
-            assert step.cumulative_bits == pytest.approx(
-                info_gain_set(table, chosen), abs=1e-9
-            )
+            if per_key:
+                problem, measure = step.problem.split(":")
+                chosen.append(MetricKey(problem, Measure(measure)))
+            else:
+                chosen.extend(metric_keys_for(step.problem, mode))
+            assert step.cumulative_bits == info_gain_set(table, chosen)
         for prev, cur in zip(report.steps, report.steps[1:]):
-            assert cur.cumulative_bits - prev.cumulative_bits == pytest.approx(
-                cur.marginal_bits, abs=1e-9
-            )
-            assert cur.cumulative_bits >= prev.cumulative_bits - 1e-9
+            assert cur.marginal_bits == cur.cumulative_bits - prev.cumulative_bits
+
+    def test_each_key_term_is_computed_once(self, monkeypatch):
+        calls = Counter()
+        term = confusion_module.log_weight_term
+
+        def counted(table, key, noise="sum"):
+            calls[key] += 1
+            return term(table, key, noise)
+
+        monkeypatch.setattr(confusion_module, "log_weight_term", counted)
+        table = random_table(4, 5, seed=3)
+        report = greedy_select(table, 5)
+        assert len(report.steps) >= 3
+        keys = {k for p in table.problems for k in metric_keys_for(p, "combined")}
+        assert calls == Counter(keys)
+
+    @pytest.mark.parametrize("sd", [1e200, 1e-170])
+    def test_non_finite_weights_are_a_domain_error(self, sd):
+        table = score_table({"g": ((1.0, 1.0, 1.0), (sd, sd, sd))}, sigma_floor=sd)
+        with pytest.raises(DomainError, match="not finite"):
+            greedy_select(table, 1, "score")
 
     def test_repeated_runs_are_identical(self):
         table = abc_table()
