@@ -37,7 +37,6 @@ from .infogain import (
     SelectionStep,
     SubadditivityViolation,
     greedy_select,
-    info_gain_combined,
     info_gain_set,
     metric_keys_for,
     mutual_information,
@@ -46,9 +45,7 @@ from .infogain import (
 from .perf import (
     Measure,
     MetricKey,
-    PerformanceStat,
     PerformanceTable,
-    PlaythroughRecord,
     SIGMA_FLOOR_DEFAULT,
     aggregate,
     load_stats,
@@ -58,9 +55,7 @@ from .perf import (
 from .synth import (
     Archetype,
     SynthSpec,
-    exact_table,
     generate,
-    sampled_table,
 )
 
 __all__ = [
@@ -80,9 +75,7 @@ __all__ = [
     "NOISE_MODES",
     "NegativeMarginal",
     "ParseError",
-    "PerformanceStat",
     "PerformanceTable",
-    "PlaythroughRecord",
     "SELECTION_MODES",
     "SIGMA_FLOOR_DEFAULT",
     "SelectionReport",
@@ -93,10 +86,8 @@ __all__ = [
     "cluster",
     "confusion",
     "correlation_matrix",
-    "exact_table",
     "generate",
     "greedy_select",
-    "info_gain_combined",
     "info_gain_set",
     "load_stats",
     "log_weight_matrix",
@@ -104,6 +95,5 @@ __all__ = [
     "mutual_information",
     "parse_records",
     "parse_records_path",
-    "sampled_table",
     "subadditivity_audit",
 ]

@@ -346,7 +346,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     _write_csv(
         _outdir(args) / "playthroughs.csv",
         ("agent", "problem", "score", "win"),
-        ((r.agent, r.problem, r.score, int(r.win)) for r in records),
+        ((agent, problem, score, int(win)) for agent, problem, score, win in records),
     )
     print(
         f"{len(records)} records: {spec.agents} agents x "

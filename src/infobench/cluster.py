@@ -7,6 +7,11 @@ Pearson r.  Problems on which every agent performs identically carry
 no correlation signal and are marked undefined (NaN) rather than
 imputed.  Clustering is agglomerative with variance-minimizing (Ward)
 linkage on the distance 1 - r, cut at a configurable threshold.
+
+The package attribute ``infobench.cluster`` is the ``cluster`` function,
+which shadows this module: ``import infobench.cluster as m`` binds the
+function.  Reach the module through
+``importlib.import_module("infobench.cluster")``.
 """
 
 from __future__ import annotations

@@ -80,13 +80,6 @@ def metric_keys_for(problem: str, mode: str) -> tuple[MetricKey, ...]:
     raise InputError(f"unknown mode {mode!r}, expected one of {SELECTION_MODES}")
 
 
-def info_gain_combined(
-    table: PerformanceTable, problem: str, noise: str = "sum"
-) -> float:
-    """Gain of one problem using its win rate and score as two measurements."""
-    return info_gain_set(table, metric_keys_for(problem, "combined"), noise)
-
-
 def problem_gains(table: PerformanceTable, problem: str, noise: str = "sum") -> dict[str, float]:
     """Gain in bits of one problem under each selection mode.
 

@@ -1,12 +1,17 @@
 """Playthrough ingestion and the Gaussian performance table.
 
-A playthrough log is a CSV of ``agent,problem,score,win`` rows.  Each
+A playthrough log is a CSV of ``agent,problem,score,win`` rows, parsed
+into plain ``(agent, problem, score, win)`` tuples in file order.  Each
 (agent, problem) pair is summarised by two metric cells: the win rate
 (mean of the 0/1 outcomes) and the score, both modelled as Gaussians
 with a sample mean, a Bessel-corrected sample standard deviation and a
 sample count.  Standard deviations are floored at ``sigma_floor`` so
 deterministic cells (e.g. an agent that always wins) never produce a
 zero noise scale downstream.
+
+Every table is built by ``PerformanceTable.from_stats`` from stats rows
+``(agent, problem, measure, mean, stddev, count)``, the rows of a stats
+file: ``aggregate`` and both stats readers produce them.
 """
 
 from __future__ import annotations
@@ -17,14 +22,17 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import product
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
 from .errors import CompletenessError, InputError, ParseError
 
 SIGMA_FLOOR_DEFAULT = 1e-9
+
+_MAX_COUNT = np.iinfo(np.int64).max
 
 _WIN_TOKENS = {
     "1": True,
@@ -72,33 +80,9 @@ class MetricKey(tuple):
         return f"MetricKey({self.problem!r}, {self.measure.value!r})"
 
 
-@dataclass(frozen=True)
-class PlaythroughRecord:
-    """One evaluation outcome: which agent played which problem, and how it went."""
-
-    agent: str
-    problem: str
-    score: float
-    win: bool
-
-    def __post_init__(self):
-        if not self.agent or not self.problem:
-            raise ValueError("agent and problem identifiers must be non-empty")
-        if not math.isfinite(self.score):
-            raise ValueError(f"score must be finite, got {self.score!r}")
-
-
-@dataclass(frozen=True)
-class PerformanceStat:
-    """Gaussian summary of one (agent, metric) cell."""
-
-    mean: float
-    stddev: float
-    count: int
-
-
-def parse_records(stream: IO[str]) -> list[PlaythroughRecord]:
-    """Parse a playthrough CSV into records, preserving file order.
+def parse_records(stream: IO[str]) -> list[tuple[str, str, float, bool]]:
+    """Parse a playthrough CSV into ``(agent, problem, score, win)`` tuples,
+    preserving file order.
 
     The header must be exactly ``agent,problem,score,win``.  Win tokens
     accept 0/1, true/false and win/lose, case-insensitively.  Errors
@@ -111,7 +95,7 @@ def parse_records(stream: IO[str]) -> list[PlaythroughRecord]:
         raise ParseError(str(exc), reader.line_num) from None
 
 
-def _parse_rows(reader) -> list[PlaythroughRecord]:
+def _parse_rows(reader) -> list[tuple[str, str, float, bool]]:
     try:
         header = next(reader)
     except StopIteration:
@@ -121,7 +105,7 @@ def _parse_rows(reader) -> list[PlaythroughRecord]:
             f"bad header {','.join(header)!r}, expected 'agent,problem,score,win'", 1
         )
 
-    records: list[PlaythroughRecord] = []
+    records = []
     for row in reader:
         line = reader.line_num
         if not row:
@@ -145,11 +129,11 @@ def _parse_rows(reader) -> list[PlaythroughRecord]:
                 f"bad win value {win_text!r} (expected 0/1, true/false or win/lose)",
                 line,
             )
-        records.append(PlaythroughRecord(agent, problem, score, win))
+        records.append((agent, problem, score, win))
     return records
 
 
-def parse_records_path(path: str | Path) -> list[PlaythroughRecord]:
+def parse_records_path(path: str | Path) -> list[tuple[str, str, float, bool]]:
     # utf-8-sig drops the byte-order mark that spreadsheet exports prepend
     with open(path, newline="", encoding="utf-8-sig") as f:
         try:
@@ -190,14 +174,30 @@ class PerformanceTable:
     @classmethod
     def from_stats(
         cls,
-        cells: Mapping[tuple[str, MetricKey], PerformanceStat],
+        rows: Iterable[tuple[str, str, str, float, float, int]],
         sigma_floor: float = SIGMA_FLOOR_DEFAULT,
     ) -> "PerformanceTable":
-        """Build a table from per-cell stats, enforcing completeness.
+        """Build a table from ``(agent, problem, measure, mean, stddev, count)``
+        rows, the rows of a stats file, in any order.
 
-        Every agent appearing anywhere must have a stat for every key
-        appearing anywhere; standard deviations are floored here.
+        Every agent appearing anywhere must have exactly one row for
+        every key appearing anywhere; standard deviations are floored
+        here.
         """
+        if not (sigma_floor > 0 and math.isfinite(sigma_floor)):
+            raise InputError(f"sigma_floor must be positive and finite, got {sigma_floor}")
+        cells: dict[tuple[str, MetricKey], tuple[float, float, int]] = {}
+        keys_seen: dict[tuple[str, str], MetricKey] = {}
+        for agent, problem, measure, mean, stddev, count in rows:
+            key = keys_seen.get((problem, measure))
+            if key is None:
+                key = keys_seen[(problem, measure)] = MetricKey(problem, measure)
+            if (agent, key) in cells:
+                raise InputError(
+                    f"duplicate stats row for agent {agent!r}, "
+                    f"problem {problem!r}, measure {key.measure.value!r}"
+                )
+            cells[(agent, key)] = (mean, stddev, count)
         if not cells:
             raise InputError("no cells given")
         agents = tuple(sorted({a for a, _ in cells}))
@@ -214,24 +214,29 @@ class PerformanceTable:
                 f"incomplete table, {len(missing)} missing cell(s): {shown}{more}",
                 missing,
             )
-        n, m = len(agents), len(keys)
-        means = np.empty((n, m))
-        stds = np.empty((n, m))
-        counts = np.empty((n, m), dtype=np.int64)
-        for i, a in enumerate(agents):
-            for j, k in enumerate(keys):
-                stat = cells[(a, k)]
-                label = f"({a}, {k.problem}/{k.measure.value})"
-                if not math.isfinite(stat.mean) or not math.isfinite(stat.stddev):
-                    raise InputError(f"non-finite stat for cell {label}")
-                if stat.stddev < 0:
-                    raise InputError(f"negative stddev for cell {label}")
-                if stat.count < 1:
-                    raise InputError(f"cell {label} has count {stat.count} < 1")
-                means[i, j] = stat.mean
-                stds[i, j] = max(stat.stddev, sigma_floor)
-                counts[i, j] = stat.count
-        return cls(agents, keys, means, stds, counts, sigma_floor)
+        grid = [cells[(a, k)] for a in agents for k in keys]
+        for (a, k), (mean, stddev, count) in zip(product(agents, keys), grid):
+            if not (math.isfinite(mean) and math.isfinite(stddev)):
+                fault = "non-finite stat for cell {}"
+            elif stddev < 0:
+                fault = "negative stddev for cell {}"
+            elif count < 1:
+                fault = f"cell {{}} has count {count} < 1"
+            elif count > _MAX_COUNT:
+                fault = f"cell {{}} has count {count}, above {_MAX_COUNT}"
+            else:
+                continue
+            raise InputError(fault.format(f"({a}, {k.problem}/{k.measure.value})"))
+        shape = (len(agents), len(keys))
+        means, stds, counts = zip(*grid)
+        return cls(
+            agents,
+            keys,
+            np.array(means, dtype=float).reshape(shape),
+            np.maximum(np.array(stds, dtype=float), sigma_floor).reshape(shape),
+            np.array(counts, dtype=np.int64).reshape(shape),
+            sigma_floor,
+        )
 
     @property
     def problems(self) -> tuple[str, ...]:
@@ -254,12 +259,6 @@ class PerformanceTable:
                 f"no cell for problem {key.problem!r} measure {key.measure.value!r}"
             )
 
-    def stat(self, agent: str, key: MetricKey) -> PerformanceStat:
-        i, j = self.agent_index(agent), self.key_index(key)
-        return PerformanceStat(
-            float(self.means[i, j]), float(self.stddevs[i, j]), int(self.counts[i, j])
-        )
-
     def column(self, key: MetricKey) -> tuple[np.ndarray, np.ndarray]:
         """Per-agent (means, stddevs) for one metric key, in agent order."""
         j = self.key_index(key)
@@ -268,7 +267,7 @@ class PerformanceTable:
 
 def _gaussian_stat(
     values: Sequence[float], sigma_floor: float, label: str
-) -> PerformanceStat:
+) -> tuple[float, float, int]:
     # math.fsum is exactly rounded, so the result does not depend on the
     # order the values arrived in.
     n = len(values)
@@ -283,31 +282,29 @@ def _gaussian_stat(
             f"({sigma_floor:g})",
             stacklevel=3,
         )
-        return PerformanceStat(mean, sigma_floor, n)
-    stddev = max(math.sqrt(ssd / (n - 1)), sigma_floor)
-    return PerformanceStat(mean, stddev, n)
+        return mean, sigma_floor, n
+    return mean, max(math.sqrt(ssd / (n - 1)), sigma_floor), n
 
 
 def aggregate(
-    records: Iterable[PlaythroughRecord],
+    records: Iterable[tuple[str, str, float, bool]],
     sigma_floor: float = SIGMA_FLOOR_DEFAULT,
     allow_missing: bool = False,
 ) -> PerformanceTable:
-    """Fold playthrough records into a complete performance table.
+    """Fold ``(agent, problem, score, win)`` playthroughs into a complete
+    performance table.
 
     Every (agent, problem) pair yields a win-rate cell and a score
     cell.  An agent missing some problem entirely is a completeness
     error unless ``allow_missing`` is set, in which case agents lacking
     full coverage are dropped (with a warning).
     """
-    if not sigma_floor > 0:
-        raise InputError(f"sigma_floor must be positive, got {sigma_floor}")
     scores: dict[tuple[str, str], list[float]] = {}
     wins: dict[tuple[str, str], list[float]] = {}
-    for r in records:
-        cell = (r.agent, r.problem)
-        scores.setdefault(cell, []).append(r.score)
-        wins.setdefault(cell, []).append(1.0 if r.win else 0.0)
+    for agent, problem, score, win in records:
+        cell = (agent, problem)
+        scores.setdefault(cell, []).append(score)
+        wins.setdefault(cell, []).append(1.0 if win else 0.0)
     if not scores:
         raise InputError("no records to aggregate")
 
@@ -333,16 +330,16 @@ def aggregate(
         if not agents:
             raise InputError("no agent covers every problem")
 
-    cells: dict[tuple[str, MetricKey], PerformanceStat] = {}
+    rows = []
     for a in agents:
         for p in problems:
-            cells[(a, MetricKey(p, Measure.SCORE))] = _gaussian_stat(
+            rows.append((a, p, Measure.SCORE, *_gaussian_stat(
                 scores[(a, p)], sigma_floor, f"({a}, {p}) score"
-            )
-            cells[(a, MetricKey(p, Measure.WIN_RATE))] = _gaussian_stat(
+            )))
+            rows.append((a, p, Measure.WIN_RATE, *_gaussian_stat(
                 wins[(a, p)], sigma_floor, f"({a}, {p}) win"
-            )
-    return PerformanceTable.from_stats(cells, sigma_floor)
+            )))
+    return PerformanceTable.from_stats(rows, sigma_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -390,19 +387,6 @@ def dumps_canonical_json(document) -> str:
     return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _cells_from_row_iter(rows, sigma_floor) -> PerformanceTable:
-    cells: dict[tuple[str, MetricKey], PerformanceStat] = {}
-    for agent, problem, measure, mean, stddev, count in rows:
-        key = (agent, MetricKey(problem, measure))
-        if key in cells:
-            raise InputError(
-                f"duplicate stats row for agent {agent!r}, "
-                f"problem {problem!r}, measure {measure!r}"
-            )
-        cells[key] = PerformanceStat(mean, stddev, count)
-    return PerformanceTable.from_stats(cells, sigma_floor)
-
-
 def read_stats_csv(
     stream: IO[str], sigma_floor: float = SIGMA_FLOOR_DEFAULT
 ) -> PerformanceTable:
@@ -438,7 +422,7 @@ def _read_stats_rows(reader, sigma_floor: float) -> PerformanceTable:
             except ValueError as exc:
                 raise InputError(f"stats line {reader.line_num}: {exc}")
 
-    return _cells_from_row_iter(rows(), sigma_floor)
+    return PerformanceTable.from_stats(rows(), sigma_floor)
 
 
 def read_stats_json(stream: IO[str]) -> PerformanceTable:
@@ -450,20 +434,20 @@ def read_stats_json(stream: IO[str]) -> PerformanceTable:
         raise InputError(f"bad stats JSON structure: top level is {type(doc).__name__}, not object")
     try:
         sigma_floor = float(doc.get("sigma_floor", SIGMA_FLOOR_DEFAULT))
-        rows = [
-            (
-                c["agent"],
-                c["problem"],
-                c["measure"],
-                float(c["mean"]),
-                float(c["stddev"]),
-                int(c["count"]),
-            )
-            for c in doc["cells"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
+        rows = [_json_stats_row(c) for c in doc["cells"]]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad stats JSON structure: {exc!r}")
-    return _cells_from_row_iter(rows, sigma_floor)
+    return PerformanceTable.from_stats(rows, sigma_floor)
+
+
+def _json_stats_row(cell: dict) -> tuple[str, str, str, float, float, int]:
+    ids = cell["agent"], cell["problem"], cell["measure"]
+    if not all(isinstance(i, str) for i in ids):
+        raise TypeError(f"agent, problem and measure must be strings, got {ids!r}")
+    count = cell["count"]
+    if isinstance(count, float) and not count.is_integer():
+        raise ValueError(f"count must be a whole number, got {count!r}")
+    return (*ids, float(cell["mean"]), float(cell["stddev"]), int(count))
 
 
 def load_stats(path: str | Path) -> PerformanceTable:

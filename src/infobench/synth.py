@@ -1,28 +1,21 @@
 """Synthetic corpora with known structure.
 
-The generator produces playthrough records from per-problem archetypes
-(score noise is Gaussian, wins are Bernoulli), fully determined by the
-seed; the random stream is numpy's seeded PCG64 (``default_rng``), so
-fixtures reproduce across platforms.
+The generator produces playthroughs, plain ``(agent, problem, score,
+win)`` tuples as ``perf.parse_records`` returns them, from per-problem
+archetypes (score noise is Gaussian, wins are Bernoulli), fully
+determined by the seed; the random stream is numpy's seeded PCG64
+(``default_rng``), so fixtures reproduce across platforms.  Tables are
+built from these playthroughs by ``perf.aggregate``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .errors import InputError
-from .perf import (
-    Measure,
-    MetricKey,
-    PerformanceStat,
-    PerformanceTable,
-    PlaythroughRecord,
-    SIGMA_FLOOR_DEFAULT,
-    aggregate,
-)
 
 ARCHETYPE_KINDS = ("identical", "linear", "two_cluster", "delayed", "duplicate")
 
@@ -116,51 +109,28 @@ def _archetype_params(spec: SynthSpec) -> list[tuple[np.ndarray, float, np.ndarr
     return params
 
 
-def generate(spec: SynthSpec) -> list[PlaythroughRecord]:
-    """Draw the full record list for a spec; byte-identical per seed.
+def generate(spec: SynthSpec) -> list[tuple[str, str, float, bool]]:
+    """Draw every ``(agent, problem, score, win)`` playthrough for a spec;
+    byte-identical per seed.
 
     Draw order is fixed: problems outermost, then agents, and for each
-    cell the win outcomes before the scores.
+    cell the win outcomes before the scores.  A gap or sigma so large
+    that a mean or a drawn score leaves the float range is an
+    ``InputError``.
     """
     rng = np.random.default_rng(spec.seed)
-    params = _archetype_params(spec)
-    records: list[PlaythroughRecord] = []
+    records: list[tuple[str, str, float, bool]] = []
     m = spec.samples_per_cell
+    with np.errstate(over="ignore", invalid="ignore"):
+        params = _archetype_params(spec)
     for problem, (mu, sigma, p) in zip(spec.problem_names, params):
         for a_idx, agent in enumerate(spec.agent_names):
             wins = rng.random(m) < p[a_idx]
             scores = rng.normal(mu[a_idx], sigma, m)
-            records.extend(
-                PlaythroughRecord(agent, problem, float(s), bool(w))
-                for s, w in zip(scores, wins)
-            )
+            if not np.isfinite(scores).all():
+                raise InputError(
+                    f"({agent}, {problem}): a score mean or draw is not finite; "
+                    "gap or sigma is too large for floating point"
+                )
+            records.extend(zip(repeat(agent), repeat(problem), scores.tolist(), wins.tolist()))
     return records
-
-
-def exact_table(
-    spec: SynthSpec, sigma_floor: float = SIGMA_FLOOR_DEFAULT
-) -> PerformanceTable:
-    """The population-parameter table a spec converges to with infinite samples.
-
-    Win-rate stddev is the Bernoulli population value sqrt(p(1-p)),
-    floored.  Useful for tests that need exact structure with no
-    sampling noise.
-    """
-    params = _archetype_params(spec)
-    cells: dict[tuple[str, MetricKey], PerformanceStat] = {}
-    for problem, (mu, sigma, p) in zip(spec.problem_names, params):
-        for a_idx, agent in enumerate(spec.agent_names):
-            cells[(agent, MetricKey(problem, Measure.SCORE))] = PerformanceStat(
-                float(mu[a_idx]), float(sigma), spec.samples_per_cell
-            )
-            win_sd = math.sqrt(p[a_idx] * (1.0 - p[a_idx]))
-            cells[(agent, MetricKey(problem, Measure.WIN_RATE))] = PerformanceStat(
-                float(p[a_idx]), win_sd, spec.samples_per_cell
-            )
-    return PerformanceTable.from_stats(cells, sigma_floor)
-
-
-def sampled_table(spec: SynthSpec) -> PerformanceTable:
-    """Generate records for a spec and aggregate them."""
-    return aggregate(generate(spec))
-

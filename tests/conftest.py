@@ -1,14 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from infobench.perf import (
     Measure,
-    MetricKey,
-    PerformanceStat,
     PerformanceTable,
     SIGMA_FLOOR_DEFAULT,
+    aggregate,
 )
-from infobench.synth import Archetype, SynthSpec, exact_table, sampled_table
+from infobench.synth import Archetype, SynthSpec, _archetype_params, generate
 
 
 def score_table(games, counts=10, sigma_floor=SIGMA_FLOOR_DEFAULT):
@@ -17,35 +18,53 @@ def score_table(games, counts=10, sigma_floor=SIGMA_FLOOR_DEFAULT):
     games: mapping problem -> (means, stddevs), one value per agent.
     Agents are named a00, a01, ... in order.
     """
-    n = len(next(iter(games.values()))[0])
-    agents = [f"a{i:02d}" for i in range(n)]
-    cells = {}
-    for problem, (mus, sds) in games.items():
-        for i, agent in enumerate(agents):
-            cells[(agent, MetricKey(problem, Measure.SCORE))] = PerformanceStat(
-                float(mus[i]), float(sds[i]), counts
-            )
-    return PerformanceTable.from_stats(cells, sigma_floor)
+    return full_table(
+        {problem: {"score": spec} for problem, spec in games.items()}, counts, sigma_floor
+    )
 
 
 def full_table(problems, counts=10, sigma_floor=SIGMA_FLOOR_DEFAULT):
-    """Build a table with both measures.
+    """Build a table from per-measure columns.
 
-    problems: mapping problem -> dict with keys "win" and "score", each
-    a (means, stddevs) pair per agent.
+    problems: mapping problem -> dict mapping a measure ("win" and/or
+    "score") to a (means, stddevs) pair, one value per agent.
     """
-    first = next(iter(problems.values()))
-    n = len(first["score"][0])
-    agents = [f"a{i:02d}" for i in range(n)]
-    cells = {}
-    for problem, spec in problems.items():
-        for measure in (Measure.WIN_RATE, Measure.SCORE):
-            mus, sds = spec[measure.value]
-            for i, agent in enumerate(agents):
-                cells[(agent, MetricKey(problem, measure))] = PerformanceStat(
-                    float(mus[i]), float(sds[i]), counts
-                )
-    return PerformanceTable.from_stats(cells, sigma_floor)
+    rows = [
+        (f"a{i:02d}", problem, measure, float(mu), float(sd), counts)
+        for problem, spec in problems.items()
+        for measure, (mus, sds) in spec.items()
+        for i, (mu, sd) in enumerate(zip(mus, sds))
+    ]
+    return PerformanceTable.from_stats(rows, sigma_floor)
+
+
+def cell(table, agent, key):
+    """(mean, stddev, count) of one table cell."""
+    i, j = table.agent_index(agent), table.key_index(key)
+    return float(table.means[i, j]), float(table.stddevs[i, j]), int(table.counts[i, j])
+
+
+def exact_table(spec, sigma_floor=SIGMA_FLOOR_DEFAULT):
+    """The population-parameter table a spec converges to with infinite samples.
+
+    Win-rate stddev is the Bernoulli population value sqrt(p(1-p)),
+    floored.  Useful for tests that need exact structure with no
+    sampling noise.
+    """
+    rows = []
+    for problem, (mu, sigma, p) in zip(spec.problem_names, _archetype_params(spec)):
+        for a_idx, agent in enumerate(spec.agent_names):
+            rows.append(
+                (agent, problem, "score", float(mu[a_idx]), float(sigma), spec.samples_per_cell)
+            )
+            win_sd = math.sqrt(p[a_idx] * (1.0 - p[a_idx]))
+            rows.append((agent, problem, "win", float(p[a_idx]), win_sd, spec.samples_per_cell))
+    return PerformanceTable.from_stats(rows, sigma_floor)
+
+
+def sampled_table(spec):
+    """Generate the playthroughs of a spec and aggregate them."""
+    return aggregate(generate(spec))
 
 
 def random_score_table(rng, n_agents, n_keys, mu_range=(-5.0, 5.0), sd_range=(0.5, 3.0)):

@@ -3,7 +3,7 @@
 ``oracle_info_gain`` is a deliberately naive direct evaluation with
 plain-float products and quotients, no log-space rearrangement, sharing
 no numerical code with the confusion or info-gain modules: it imports
-only the data types.  It refuses inputs outside its safe range instead
+only the data types, and reads cells through ``conftest.cell``.  It refuses inputs outside its safe range instead
 of silently losing precision.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from conftest import cell
 from infobench.perf import Measure, MetricKey, PerformanceTable
 
 ORACLE_MAX_AGENTS = 8
@@ -44,7 +45,7 @@ def oracle_confusion_rows(
             f"oracle handles at most {ORACLE_MAX_KEYS} metric keys, got {len(keys)}"
         )
     stats = {
-        (a, k): table.stat(a, k) for a in agents for k in keys
+        (a, k): cell(table, a, k)[:2] for a in agents for k in keys
     }
     rows: list[list[float]] = []
     for obs in agents:
@@ -52,9 +53,9 @@ def oracle_confusion_rows(
         for cand in agents:
             w = 1.0
             for k in keys:
-                s_obs, s_cand = stats[(obs, k)], stats[(cand, k)]
-                scale = _oracle_scale(s_obs.stddev, s_cand.stddev, noise)
-                diff = s_obs.mean - s_cand.mean
+                (mu_obs, sd_obs), (mu_cand, sd_cand) = stats[(obs, k)], stats[(cand, k)]
+                scale = _oracle_scale(sd_obs, sd_cand, noise)
+                diff = mu_obs - mu_cand
                 density = math.exp(-(diff * diff) / (2.0 * scale * scale))
                 density /= math.sqrt(2.0 * math.pi * scale * scale)
                 w *= density

@@ -23,6 +23,7 @@ from conftest import (
     fixture_suite,
     full_table,
     random_score_table,
+    sampled_table,
     score_keys,
     score_table,
 )
@@ -36,7 +37,7 @@ from infobench.infogain import (
     subadditivity_audit,
 )
 from infobench.perf import Measure, MetricKey
-from infobench.synth import Archetype, SynthSpec, sampled_table
+from infobench.synth import Archetype, SynthSpec
 from reference_cluster import naive_ward_partition
 from reference_heatmap import read_heatmap_cells
 from reference_oracle import oracle_info_gain

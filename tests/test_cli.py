@@ -8,12 +8,18 @@ import pytest
 
 from conftest import full_table, score_table
 from infobench.cli import main
-from infobench.perf import write_stats_csv
+from infobench.perf import stats_json_document, write_stats_csv
 from reference_heatmap import read_heatmap_cells
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def stats_json(*cells):
+    """Stats JSON text whose cells are a valid win cell with some fields replaced."""
+    base = {"agent": "a", "problem": "g", "measure": "win", "mean": 0.5, "stddev": 0.1, "count": 3}
+    return json.dumps({"cells": [dict(base, **cell) for cell in cells]})
 
 
 @pytest.fixture
@@ -242,13 +248,39 @@ class TestExitCodes:
         assert ("line 3" if kind == "playthroughs" else "line 2") in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("document", ["[]", '"x"'])
-    def test_stats_json_that_is_not_an_object_exits_2(self, tmp_path, capsys, document):
+    @pytest.mark.parametrize("document, message", [
+        pytest.param("[]", "not object", id="[]"),
+        pytest.param('"x"', "not object", id='"x"'),
+        pytest.param(stats_json({"count": "N"}).replace('"N"', "1e400"),
+                     "count must be a whole number", id="count-1e400"),
+        pytest.param(stats_json({"agent": 5}, {"agent": "b"}),
+                     "must be strings", id="integer-agent"),
+        pytest.param(stats_json({"problem": ["x"]}), "must be strings", id="list-problem"),
+        pytest.param(stats_json({"count": 1e20}), "above 9223372036854775807",
+                     id="count-beyond-int64"),
+        pytest.param(stats_json({"mean": 10**400}), "too large to convert to float",
+                     id="mean-beyond-float"),
+    ])
+    def test_malformed_stats_json_exits_2(self, tmp_path, capsys, document, message):
         stats = tmp_path / "stats.json"
         stats.write_text(document)
         out = tmp_path / "out"
         assert run("info-gain", "--stats", stats, "--out", out) == 2
-        assert "not object" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("floor", [-1, 0, math.nan])
+    def test_bad_sigma_floor_in_stats_json_exits_2(self, tmp_path, capsys, floor):
+        table = full_table({"g": {"win": ((0.2, 0.5, 0.9), (0.0,) * 3),
+                                  "score": ((1.0, 2.0, 3.0), (0.0,) * 3)}})
+        doc = stats_json_document(table)
+        doc["cells"] = [dict(c, stddev=0.0) for c in doc["cells"]]
+        doc["sigma_floor"] = floor
+        stats = tmp_path / "stats.json"
+        stats.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run("info-gain", "--stats", stats, "--out", out) == 2
+        assert "sigma_floor must be positive" in capsys.readouterr().err
         assert not out.exists()
 
     def test_byte_order_mark_header_is_accepted(self, tmp_path):
@@ -494,6 +526,14 @@ class TestSynthCommand:
             "--seed", 4, "--out", tmp_path / "b")
         assert (tmp_path / "a/playthroughs.csv").read_bytes() == \
             (tmp_path / "b/playthroughs.csv").read_bytes()
+
+    @pytest.mark.parametrize("setting", [("--gap", "1e308"),
+                                         ("--archetype", "linear", "--sigma", "1e308")],
+                             ids=["gap", "sigma"])
+    def test_overflowing_gap_or_sigma_exits_2(self, tmp_path, capsys, setting):
+        assert run("synth", "--agents", 3, "--problems", 2, *setting, "--out", tmp_path) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "playthroughs.csv").exists()
 
 
 class TestPerKeyFlag:

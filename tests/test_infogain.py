@@ -16,7 +16,6 @@ from infobench.confusion import confusion
 from infobench.errors import CompletenessError, InfobenchError
 from infobench.infogain import (
     greedy_select,
-    info_gain_combined,
     info_gain_set,
     metric_keys_for,
     mutual_information,
@@ -138,7 +137,7 @@ class TestInfoGainCombined:
                 }
             }
         )
-        combined = info_gain_combined(table, "g")
+        combined = info_gain_set(table, metric_keys_for("g", "combined"))
         score_only = info_gain_set(table, [MetricKey("g", Measure.SCORE)])
         assert abs(combined - score_only) < 1e-12
 
@@ -151,7 +150,7 @@ class TestInfoGainCombined:
                 }
             }
         )
-        assert abs(info_gain_combined(table, "g")) < 1e-12
+        assert abs(info_gain_set(table, metric_keys_for("g", "combined"))) < 1e-12
 
     def test_subadditive_on_well_separated_instance(self):
         rng = np.random.default_rng(5)
@@ -163,7 +162,7 @@ class TestInfoGainCombined:
                 }
             }
         )
-        combined = info_gain_combined(table, "g")
+        combined = info_gain_set(table, metric_keys_for("g", "combined"))
         win = info_gain_set(table, [MetricKey("g", Measure.WIN_RATE)])
         score = info_gain_set(table, [MetricKey("g", Measure.SCORE)])
         assert combined <= win + score + 1e-9
@@ -172,7 +171,7 @@ class TestInfoGainCombined:
         table = score_table({"g": ((0.0, 1.0), (1.0, 1.0))})
         missing = "no cell for problem 'g' measure 'win'"
         with pytest.raises(CompletenessError, match=missing):
-            info_gain_combined(table, "g")
+            info_gain_set(table, metric_keys_for("g", "combined"))
         with pytest.raises(CompletenessError, match=missing):
             greedy_select(table, 1, "combined")
 

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cell, full_table
 from infobench.errors import CompletenessError, InputError, ParseError
 from infobench.perf import (
     Measure,
     MetricKey,
-    PerformanceStat,
     PerformanceTable,
-    PlaythroughRecord,
     aggregate,
     dumps_canonical_json,
     load_stats,
@@ -31,7 +30,7 @@ def parse(text):
 class TestParseRecords:
     def test_direct_field_mapping(self):
         records = parse("agent,problem,score,win\na1,freeway,5.0,1\n")
-        assert records == [PlaythroughRecord("a1", "freeway", 5.0, True)]
+        assert records == [("a1", "freeway", 5.0, True)]
 
     def test_nan_score_rejected_with_line_number(self):
         with pytest.raises(ParseError, match="line 2") as exc:
@@ -55,7 +54,7 @@ class TestParseRecords:
     )
     def test_win_tokens(self, token, expected):
         records = parse(f"agent,problem,score,win\na1,g,1.5,{token}\n")
-        assert records[0].win is expected
+        assert records[0][3] is expected
 
     def test_bad_win_token(self):
         with pytest.raises(ParseError, match="line 2.*win value"):
@@ -82,7 +81,7 @@ class TestParseRecords:
 
     def test_blank_lines_skipped_and_order_kept(self):
         records = parse("agent,problem,score,win\na1,g,1.0,1\n\na2,g,2.0,0\n")
-        assert [r.agent for r in records] == ["a1", "a2"]
+        assert [agent for agent, _, _, _ in records] == ["a1", "a2"]
 
     def test_unparseable_score(self):
         with pytest.raises(ParseError, match="score"):
@@ -99,7 +98,7 @@ class TestParseRecords:
 
 
 def rec(agent, problem, score, win):
-    return PlaythroughRecord(agent, problem, score, win)
+    return agent, problem, score, win
 
 
 def two_agent_records(scores_a, scores_b, problem="g"):
@@ -115,32 +114,32 @@ class TestAggregate:
     def test_zero_one_scores(self):
         records = [rec("a1", "g", 0.0, False), rec("a1", "g", 1.0, True)]
         table = aggregate(records)
-        stat = table.stat("a1", MetricKey("g", Measure.SCORE))
-        assert stat.mean == 0.5
-        assert stat.stddev == pytest.approx(math.sqrt(0.5), abs=1e-15)
-        assert stat.count == 2
+        mean, stddev, count = cell(table, "a1", MetricKey("g", Measure.SCORE))
+        assert mean == 0.5
+        assert stddev == pytest.approx(math.sqrt(0.5), abs=1e-15)
+        assert count == 2
 
     def test_textbook_sample_stddev(self):
         values = [2, 4, 4, 4, 5, 5, 7, 9]
         records = [rec("a1", "g", float(v), True) for v in values]
         table = aggregate(records)
-        stat = table.stat("a1", MetricKey("g", Measure.SCORE))
-        assert stat.mean == 5.0
-        assert stat.stddev == pytest.approx(2.1380899352993951, abs=1e-12)
+        mean, stddev, _ = cell(table, "a1", MetricKey("g", Measure.SCORE))
+        assert mean == 5.0
+        assert stddev == pytest.approx(2.1380899352993951, abs=1e-12)
 
     def test_all_wins_hits_the_floor(self):
         records = [rec("a1", "g", float(i), True) for i in range(4)]
         table = aggregate(records, sigma_floor=1e-9)
-        stat = table.stat("a1", MetricKey("g", Measure.WIN_RATE))
-        assert stat.mean == 1.0
-        assert stat.stddev == 1e-9
+        mean, stddev, _ = cell(table, "a1", MetricKey("g", Measure.WIN_RATE))
+        assert mean == 1.0
+        assert stddev == 1e-9
 
     def test_single_record_warns_and_floors(self):
         with pytest.warns(UserWarning, match="single playthrough"):
             table = aggregate([rec("a1", "g", 3.0, True)])
-        stat = table.stat("a1", MetricKey("g", Measure.SCORE))
-        assert stat.stddev == 1e-9
-        assert stat.count == 1
+        _, stddev, count = cell(table, "a1", MetricKey("g", Measure.SCORE))
+        assert stddev == 1e-9
+        assert count == 1
 
     def test_missing_pair_is_an_error(self):
         records = [
@@ -199,11 +198,11 @@ class TestAggregate:
     def test_win_rate_bounds(self, wins):
         records = [rec("a1", "g", 1.0, w) for w in wins]
         table = aggregate(records)
-        stat = table.stat("a1", MetricKey("g", Measure.WIN_RATE))
+        mean, stddev, _ = cell(table, "a1", MetricKey("g", Measure.WIN_RATE))
         n = len(wins)
-        assert 0.0 <= stat.mean <= 1.0
+        assert 0.0 <= mean <= 1.0
         # Bessel-corrected Bernoulli bound: sqrt(p(1-p) * n/(n-1)) maxes at p=1/2
-        assert stat.stddev <= 0.5 * math.sqrt(n / (n - 1)) + 1e-9
+        assert stddev <= 0.5 * math.sqrt(n / (n - 1)) + 1e-9
 
     def test_batch_merge_equals_concatenation(self):
         batch1 = two_agent_records([1, 2, 3], [4, 5, 6])
@@ -233,21 +232,37 @@ class TestPerformanceTable:
         assert table.keys[1] == MetricKey("alpha", Measure.WIN_RATE)
 
     def test_from_stats_rejects_incomplete(self):
-        cells = {
-            ("a1", MetricKey("g", Measure.SCORE)): PerformanceStat(0.0, 1.0, 3),
-            ("a2", MetricKey("h", Measure.SCORE)): PerformanceStat(0.0, 1.0, 3),
-        }
-        with pytest.raises(CompletenessError):
-            PerformanceTable.from_stats(cells)
+        rows = [("a1", "g", "score", 0.0, 1.0, 3), ("a2", "h", "score", 0.0, 1.0, 3)]
+        with pytest.raises(
+            CompletenessError, match=r"^incomplete table, 2 missing cell\(s\): \(a1, h/score\), "
+        ) as exc:
+            PerformanceTable.from_stats(rows)
+        assert list(exc.value.missing) == [
+            ("a1", MetricKey("h", "score")), ("a2", MetricKey("g", "score"))
+        ]
 
     def test_from_stats_rejects_bad_stats(self):
-        key = MetricKey("g", Measure.SCORE)
-        with pytest.raises(InputError, match="non-finite"):
-            PerformanceTable.from_stats({("a", key): PerformanceStat(math.nan, 1.0, 3)})
-        with pytest.raises(InputError, match="count"):
-            PerformanceTable.from_stats({("a", key): PerformanceStat(0.0, 1.0, 0)})
-        with pytest.raises(InputError, match="negative stddev"):
-            PerformanceTable.from_stats({("a", key): PerformanceStat(0.0, -1.0, 3)})
+        for row, message in [
+            (("a", "g", "score", math.nan, 1.0, 3), "non-finite stat for cell (a, g/score)"),
+            (("a", "g", "score", 0.0, 1.0, 0), "cell (a, g/score) has count 0 < 1"),
+            (("a", "g", "score", 0.0, -1.0, 3), "negative stddev for cell (a, g/score)"),
+            (("a", "g", "score", 0.0, 1.0, 2**63),
+             "cell (a, g/score) has count 9223372036854775808, above 9223372036854775807"),
+        ]:
+            with pytest.raises(InputError) as exc:
+                PerformanceTable.from_stats([row])
+            assert str(exc.value) == message
+
+    def test_from_stats_rejects_a_duplicate_row(self):
+        row = ("a", "g", "win", 0.5, 0.1, 3)
+        with pytest.raises(InputError) as exc:
+            PerformanceTable.from_stats([row, ("a", "g", "score", 1.0, 1.0, 3), row])
+        assert str(exc.value) == "duplicate stats row for agent 'a', problem 'g', measure 'win'"
+
+    @pytest.mark.parametrize("floor", [0.0, -1.0, math.nan, math.inf])
+    def test_from_stats_rejects_a_bad_sigma_floor(self, floor):
+        with pytest.raises(InputError, match="sigma_floor must be positive"):
+            PerformanceTable.from_stats([("a", "g", "score", 0.0, 1.0, 3)], floor)
 
     def test_metric_key_coerces_measure(self):
         assert MetricKey("g", "win") == MetricKey("g", Measure.WIN_RATE)
@@ -262,9 +277,9 @@ class TestPerformanceTable:
     def test_unknown_lookups(self):
         table = aggregate(two_agent_records([1, 2], [3, 4]))
         with pytest.raises(CompletenessError):
-            table.stat("nobody", MetricKey("g", Measure.SCORE))
+            table.agent_index("nobody")
         with pytest.raises(CompletenessError):
-            table.stat("a1", MetricKey("missing", Measure.SCORE))
+            table.key_index(MetricKey("missing", Measure.SCORE))
 
 
 class TestStatsIO:
@@ -282,6 +297,24 @@ class TestStatsIO:
         assert np.array_equal(back.means, table.means)
         assert np.array_equal(back.stddevs, table.stddevs)
         assert np.array_equal(back.counts, table.counts)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rows_in_any_order_load_bit_identically(self, data):
+        rng = np.random.default_rng(3)
+        table = full_table({
+            p: {"win": (rng.random(3), rng.random(3)), "score": (rng.normal(size=3), rng.random(3))}
+            for p in ("g1", "g2", "g3")
+        })
+        buf = io.StringIO()
+        write_stats_csv(table, buf)
+        header, *lines = buf.getvalue().splitlines()
+        shuffled = data.draw(st.permutations(lines))
+        back = read_stats_csv(io.StringIO("\n".join([header, *shuffled]) + "\n"))
+        assert back.agents == table.agents
+        assert back.keys == table.keys
+        for name in ("means", "stddevs", "counts"):
+            assert getattr(back, name).tobytes() == getattr(table, name).tobytes()
 
     def test_json_round_trip(self, table):
         text = dumps_canonical_json(stats_json_document(table))

@@ -3,18 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fixture_suite, random_score_table, score_keys
+from conftest import exact_table, fixture_suite, random_score_table, sampled_table, score_keys
 from infobench.confusion import confusion
 from infobench.errors import InputError
 from infobench.infogain import info_gain_set, greedy_select
 from infobench.perf import Measure, MetricKey, aggregate
-from infobench.synth import (
-    Archetype,
-    SynthSpec,
-    exact_table,
-    generate,
-    sampled_table,
-)
+from infobench.synth import Archetype, SynthSpec, generate
 from reference_oracle import (
     OracleRangeError,
     oracle_best_subset,
@@ -69,8 +63,8 @@ class TestGenerate:
         spec = SynthSpec(2, (Archetype("identical"),) * 3, 10, seed=0)
         records = generate(spec)
         assert len(records) == 2 * 3 * 10
-        assert {r.agent for r in records} == {"agent00", "agent01"}
-        assert {r.problem for r in records} == {"prob00", "prob01", "prob02"}
+        assert {agent for agent, _, _, _ in records} == {"agent00", "agent01"}
+        assert {problem for _, problem, _, _ in records} == {"prob00", "prob01", "prob02"}
 
     def test_identical_archetype_gains_nothing(self):
         spec = SynthSpec(3, (Archetype("identical"),), samples_per_cell=10_000, seed=9)
