@@ -57,7 +57,8 @@ def _read_config_file(path: str) -> dict[str, str]:
     """Parse a key=value config file; '#' starts a comment line."""
     values: dict[str, str] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # utf-8-sig drops a leading byte-order mark, as the CSV readers do
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise InputError(f"cannot read config file: {exc}")
     except UnicodeDecodeError as exc:

@@ -124,8 +124,8 @@ def cluster(
     from scipy.cluster.hierarchy import fcluster, leaves_list, linkage
     from scipy.spatial.distance import squareform
 
-    if not threshold > 0:
-        raise InputError(f"threshold must be positive, got {threshold}")
+    if not 0 < threshold < float("inf"):
+        raise InputError(f"threshold must be positive and finite, got {threshold}")
     defined = corr.defined_mask
     excluded = tuple(p for p, ok in zip(corr.problems, defined) if not ok)
     kept = [p for p, ok in zip(corr.problems, defined) if ok]

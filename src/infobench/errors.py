@@ -19,7 +19,7 @@ class InputError(InfobenchError, ValueError):
 
 
 class ParseError(InputError):
-    """A playthrough file failed to parse.
+    """A playthrough or stats CSV failed to parse.
 
     Carries the 1-based line number of the offending row (the header
     counts as line 1).

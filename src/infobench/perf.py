@@ -12,6 +12,9 @@ zero noise scale downstream.
 Every table is built by ``PerformanceTable.from_stats`` from stats rows
 ``(agent, problem, measure, mean, stddev, count)``, the rows of a stats
 file: ``aggregate`` and both stats readers produce them.
+
+Both headed CSV inputs, playthroughs and stats, are read row by row by
+``_csv_rows``, and both files are opened and decoded by ``_read_text``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -44,6 +47,8 @@ _WIN_TOKENS = {
 }
 
 _EXPECTED_HEADER = ("agent", "problem", "score", "win")
+
+T = TypeVar("T")
 
 
 class Measure(str, Enum):
@@ -80,6 +85,45 @@ class MetricKey(tuple):
         return f"MetricKey({self.problem!r}, {self.measure.value!r})"
 
 
+def _csv_rows(stream: IO[str], header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line, stripped fields)`` for each non-empty data row of a
+    headed CSV.
+
+    The header must match ``header`` case-insensitively and every row must
+    have one field per column.  Errors are ``ParseError``s naming the
+    1-based line (header = line 1).
+    """
+    expected = ",".join(header)
+    reader = csv.reader(stream)
+    try:
+        first = next(reader, None)
+        if first is None:
+            raise ParseError(f"empty file, expected header {expected!r}", 1)
+        if tuple(h.strip().lower() for h in first) != header:
+            raise ParseError(f"bad header {','.join(first)!r}, expected {expected!r}", 1)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(
+                    f"expected {len(header)} fields, got {len(row)}", reader.line_num
+                )
+            yield reader.line_num, [f.strip() for f in row]
+    except csv.Error as exc:
+        raise ParseError(str(exc), reader.line_num) from None
+
+
+def _read_text(path: str | Path, read: Callable[[IO[str]], T]) -> T:
+    """Open ``path`` as UTF-8 text and hand the stream to ``read``."""
+    # utf-8-sig drops the byte-order mark that spreadsheet exports prepend
+    with open(path, newline="", encoding="utf-8-sig") as f:
+        try:
+            return read(f)
+        except UnicodeDecodeError as exc:
+            # the decoder works on buffered chunks, so the line is not known here
+            raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def parse_records(stream: IO[str]) -> list[tuple[str, str, float, bool]]:
     """Parse a playthrough CSV into ``(agent, problem, score, win)`` tuples,
     preserving file order.
@@ -88,31 +132,8 @@ def parse_records(stream: IO[str]) -> list[tuple[str, str, float, bool]]:
     accept 0/1, true/false and win/lose, case-insensitively.  Errors
     name the offending 1-based line (header = line 1).
     """
-    reader = csv.reader(stream)
-    try:
-        return _parse_rows(reader)
-    except csv.Error as exc:
-        raise ParseError(str(exc), reader.line_num) from None
-
-
-def _parse_rows(reader) -> list[tuple[str, str, float, bool]]:
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty file, expected header 'agent,problem,score,win'", 1)
-    if tuple(h.strip().lower() for h in header) != _EXPECTED_HEADER:
-        raise ParseError(
-            f"bad header {','.join(header)!r}, expected 'agent,problem,score,win'", 1
-        )
-
     records = []
-    for row in reader:
-        line = reader.line_num
-        if not row:
-            continue
-        if len(row) != 4:
-            raise ParseError(f"expected 4 fields, got {len(row)}", line)
-        agent, problem, score_text, win_text = (f.strip() for f in row)
+    for line, (agent, problem, score_text, win_text) in _csv_rows(stream, _EXPECTED_HEADER):
         if not agent:
             raise ParseError("empty agent identifier", line)
         if not problem:
@@ -134,17 +155,7 @@ def _parse_rows(reader) -> list[tuple[str, str, float, bool]]:
 
 
 def parse_records_path(path: str | Path) -> list[tuple[str, str, float, bool]]:
-    # utf-8-sig drops the byte-order mark that spreadsheet exports prepend
-    with open(path, newline="", encoding="utf-8-sig") as f:
-        try:
-            return parse_records(f)
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(path, exc) from None
-
-
-def _not_utf8(path: str | Path, exc: UnicodeDecodeError) -> InputError:
-    # the decoder works on buffered chunks, so the line is not known here
-    return InputError(f"{path}: not UTF-8 text ({exc.reason})")
+    return _read_text(path, parse_records)
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,42 +398,17 @@ def dumps_canonical_json(document) -> str:
     return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def read_stats_csv(
-    stream: IO[str], sigma_floor: float = SIGMA_FLOOR_DEFAULT
-) -> PerformanceTable:
-    reader = csv.reader(stream)
-    try:
-        return _read_stats_rows(reader, sigma_floor)
-    except csv.Error as exc:
-        raise InputError(f"stats line {reader.line_num}: {exc}") from None
-
-
-def _read_stats_rows(reader, sigma_floor: float) -> PerformanceTable:
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise InputError("empty stats file")
-    if tuple(h.strip().lower() for h in header) != STATS_HEADER:
-        raise InputError(
-            f"bad stats header {','.join(header)!r}, expected "
-            f"{','.join(STATS_HEADER)!r}"
-        )
-
+def read_stats_csv(stream: IO[str]) -> PerformanceTable:
     def rows():
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 6:
-                raise InputError(
-                    f"stats line {reader.line_num}: expected 6 fields, got {len(row)}"
-                )
-            agent, problem, measure, mean, stddev, count = (f.strip() for f in row)
+        for line, fields in _csv_rows(stream, STATS_HEADER):
+            agent, problem, measure, mean, stddev, count = fields
             try:
-                yield agent, problem, measure, float(mean), float(stddev), int(count)
+                row = agent, problem, measure, float(mean), float(stddev), int(count)
             except ValueError as exc:
-                raise InputError(f"stats line {reader.line_num}: {exc}")
+                raise ParseError(str(exc), line) from None
+            yield row
 
-    return PerformanceTable.from_stats(rows(), sigma_floor)
+    return PerformanceTable.from_stats(rows())
 
 
 def read_stats_json(stream: IO[str]) -> PerformanceTable:
@@ -433,30 +419,31 @@ def read_stats_json(stream: IO[str]) -> PerformanceTable:
     if not isinstance(doc, dict):
         raise InputError(f"bad stats JSON structure: top level is {type(doc).__name__}, not object")
     try:
-        sigma_floor = float(doc.get("sigma_floor", SIGMA_FLOOR_DEFAULT))
+        floor = _json_number(doc.get("sigma_floor", SIGMA_FLOOR_DEFAULT), "sigma_floor")
         rows = [_json_stats_row(c) for c in doc["cells"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad stats JSON structure: {exc!r}")
-    return PerformanceTable.from_stats(rows, sigma_floor)
+    return PerformanceTable.from_stats(rows, float(floor))
+
+
+def _json_number(value, name: str) -> int | float:
+    # float() and int() would also take a bool or a numeric string
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a JSON number, got {value!r}")
+    return value
 
 
 def _json_stats_row(cell: dict) -> tuple[str, str, str, float, float, int]:
     ids = cell["agent"], cell["problem"], cell["measure"]
     if not all(isinstance(i, str) for i in ids):
         raise TypeError(f"agent, problem and measure must be strings, got {ids!r}")
-    count = cell["count"]
+    mean, stddev, count = (_json_number(cell[f], f) for f in ("mean", "stddev", "count"))
     if isinstance(count, float) and not count.is_integer():
         raise ValueError(f"count must be a whole number, got {count!r}")
-    return (*ids, float(cell["mean"]), float(cell["stddev"]), int(count))
+    return (*ids, float(mean), float(stddev), int(count))
 
 
 def load_stats(path: str | Path) -> PerformanceTable:
     """Read an aggregated-stats file, dispatching on the extension."""
-    path = Path(path)
-    with open(path, newline="", encoding="utf-8-sig") as f:
-        try:
-            if path.suffix.lower() == ".json":
-                return read_stats_json(f)
-            return read_stats_csv(f)
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(path, exc) from None
+    json_file = Path(path).suffix.lower() == ".json"
+    return _read_text(path, read_stats_json if json_file else read_stats_csv)

@@ -169,6 +169,7 @@ class TestExitCodes:
         ("select", "eps-gain", "0"),
         ("correlate", "threshold", "0"),
         ("correlate", "threshold", "nan"),
+        ("correlate", "threshold", "inf"),
         ("ingest", "sigma-floor", "0"),
         ("synth", "samples", "0"),
         ("synth", "agents", "0"),
@@ -260,6 +261,13 @@ class TestExitCodes:
                      id="count-beyond-int64"),
         pytest.param(stats_json({"mean": 10**400}), "too large to convert to float",
                      id="mean-beyond-float"),
+        pytest.param(stats_json({}).replace('{"cells"', '{"sigma_floor": true, "cells"'),
+                     "sigma_floor must be a JSON number", id="boolean-sigma-floor"),
+        pytest.param(stats_json({"stddev": True}), "stddev must be a JSON number",
+                     id="boolean-stddev"),
+        pytest.param(stats_json({"mean": "1.5"}), "mean must be a JSON number", id="string-mean"),
+        pytest.param(stats_json({"count": "200"}), "count must be a JSON number",
+                     id="string-count"),
     ])
     def test_malformed_stats_json_exits_2(self, tmp_path, capsys, document, message):
         stats = tmp_path / "stats.json"
@@ -269,7 +277,7 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("floor", [-1, 0, math.nan])
+    @pytest.mark.parametrize("floor", [-1, 0, math.nan, True])
     def test_bad_sigma_floor_in_stats_json_exits_2(self, tmp_path, capsys, floor):
         table = full_table({"g": {"win": ((0.2, 0.5, 0.9), (0.0,) * 3),
                                   "score": ((1.0, 2.0, 3.0), (0.0,) * 3)}})
@@ -280,7 +288,8 @@ class TestExitCodes:
         stats.write_text(json.dumps(doc))
         out = tmp_path / "out"
         assert run("info-gain", "--stats", stats, "--out", out) == 2
-        assert "sigma_floor must be positive" in capsys.readouterr().err
+        fault = "a JSON number" if floor is True else "positive"
+        assert f"sigma_floor must be {fault}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_byte_order_mark_header_is_accepted(self, tmp_path):
@@ -368,6 +377,14 @@ class TestConfigFile:
         cfg.write_text("k=5\n")
         run("select", "--stats", corpus / "stats.csv", "--out", corpus,
             "--config", cfg, "--k", "1")
+        doc = json.loads((corpus / "selection.json").read_text())
+        assert len(doc["steps"]) == 1
+
+    def test_byte_order_mark_is_skipped(self, corpus, tmp_path):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("\ufeffk=1\n", encoding="utf-8")
+        assert run("select", "--stats", corpus / "stats.csv", "--out", corpus,
+                   "--config", cfg) == 0
         doc = json.loads((corpus / "selection.json").read_text())
         assert len(doc["steps"]) == 1
 

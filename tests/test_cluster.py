@@ -143,6 +143,8 @@ class TestCluster:
             cluster(corr, 0.0)
         with pytest.raises(InputError, match="threshold"):
             cluster(corr, float("nan"))
+        with pytest.raises(InputError, match="threshold"):
+            cluster(corr, float("inf"))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_agrees_with_naive_reference_on_random_fixtures(self, seed):

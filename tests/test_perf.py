@@ -23,6 +23,9 @@ from infobench.perf import (
 )
 
 
+STATS_CSV_HEADER = "agent,problem,measure,mean,stddev,count\n"
+
+
 def parse(text):
     return parse_records(io.StringIO(text))
 
@@ -354,6 +357,19 @@ class TestStatsIO:
     def test_bad_stats_header(self):
         with pytest.raises(InputError, match="header"):
             read_stats_csv(io.StringIO("a,b\n1,2\n"))
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("", 1, "empty file"),
+        ("agent,problem,mean\n", 1, "bad header"),
+        (STATS_CSV_HEADER + "a,g,win,0.5,0.1,3\n\na,g,score,1.0,0.1\n", 4,
+         "expected 6 fields, got 5"),
+        (STATS_CSV_HEADER + "a,g,win,0.5,0.1,3\na,g,score,abc,0.1,3\n", 3, "could not convert"),
+        (STATS_CSV_HEADER + "a,g,win,0.5,0.1,3\na,g,score,1.0,0.1,2.5\n", 3, "invalid literal"),
+    ], ids=["empty", "header", "short-row", "mean", "count"])
+    def test_stats_csv_error_names_line(self, text, line, message):
+        with pytest.raises(ParseError, match=f"^line {line}: {message}") as exc:
+            read_stats_csv(io.StringIO(text))
+        assert exc.value.line == line
 
     def test_bad_stats_json(self):
         with pytest.raises(InputError, match="JSON"):
