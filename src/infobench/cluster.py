@@ -8,6 +8,17 @@ no correlation signal and are marked undefined (NaN) rather than
 imputed.  Clustering is agglomerative with variance-minimizing (Ward)
 linkage on the distance 1 - r, cut at a configurable threshold.
 
+The linkage is a numpy port of scipy's Ward ``nn_chain`` and ``label``
+(``scipy/cluster/_hierarchy.pyx``; the nearest-neighbour-chain algorithm
+of Müllner 2011, arXiv:1109.2378), so merges, heights and leaf order are
+those of ``scipy.cluster.hierarchy.linkage(..., "ward")``,
+``fcluster(..., criterion="distance")`` and ``leaves_list``, bit for
+bit.  Ties follow scipy: a chain starts at the lowest live index; the
+chain's previous element wins a tie for nearest neighbour, and
+otherwise the lowest index among the equal minima does; each merge is
+recorded as (lower slot, higher slot), the higher slot holds the merged
+cluster, and merges are sorted by height with a stable sort.
+
 The package attribute ``infobench.cluster`` is the ``cluster`` function,
 which shadows this module: ``import infobench.cluster as m`` binds the
 function.  Reach the module through
@@ -46,7 +57,12 @@ class CorrelationMatrix:
 
 
 def correlation_matrix(table: PerformanceTable, measure: Measure) -> CorrelationMatrix:
-    """Pearson correlation between every problem pair for one measure."""
+    """Pearson correlation between every problem pair for one measure.
+
+    Means so large (or so small) that a squared deviation overflows (or a
+    norm product underflows) give non-finite entries, which ``cluster``
+    rejects.
+    """
     measure = Measure(measure)
     if len(table.agents) < 3:
         raise DomainError(
@@ -55,20 +71,20 @@ def correlation_matrix(table: PerformanceTable, measure: Measure) -> Correlation
         )
     problems = table.problems
     rows = np.stack([table.column(MetricKey(p, measure))[0] for p in problems])
-    centered = rows - rows.mean(axis=1, keepdims=True)
-    sq_norms = (centered * centered).sum(axis=1)
-    defined = sq_norms > 0.0
-
     n = len(problems)
     values = np.full((n, n), np.nan)
-    if defined.any():
-        idx = np.flatnonzero(defined)
-        sub = centered[idx]
-        # single square root of the norm product keeps the +/-1 cases exact
-        r = (sub @ sub.T) / np.sqrt(np.outer(sq_norms[idx], sq_norms[idx]))
-        r = (r + r.T) / 2.0
-        np.fill_diagonal(r, 1.0)
-        values[np.ix_(idx, idx)] = r
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        centered = rows - rows.mean(axis=1, keepdims=True)
+        sq_norms = (centered * centered).sum(axis=1)
+        defined = sq_norms > 0.0
+        if defined.any():
+            idx = np.flatnonzero(defined)
+            sub = centered[idx]
+            # single square root of the norm product keeps the +/-1 cases exact
+            r = (sub @ sub.T) / np.sqrt(np.outer(sq_norms[idx], sq_norms[idx]))
+            r = (r + r.T) / 2.0
+            np.fill_diagonal(r, 1.0)
+            values[np.ix_(idx, idx)] = r
     return CorrelationMatrix(problems, values)
 
 
@@ -110,6 +126,61 @@ class ClusterResult:
         return out
 
 
+def _ward_linkage(dist: np.ndarray) -> list[list[float]]:
+    """Ward linkage of a full symmetric matrix of finite distances, as the
+    rows ``[a, b, height, size]`` of scipy's linkage matrix."""
+    n = len(dist)
+    d = dist.astype(float)  # a copy, since the merges write into it
+    np.fill_diagonal(d, np.inf)
+    size = np.ones(n, dtype=np.int64)  # 0 marks a merged-away slot
+    merges = []
+    chain: list[int] = []
+    for _ in range(n - 1):
+        if not chain:
+            chain.append(int(np.flatnonzero(size)[0]))
+        # walk to a pair of reciprocal nearest neighbours
+        while True:
+            x = chain[-1]
+            y = int(np.argmin(d[x]))
+            if len(chain) > 1 and d[x, chain[-2]] <= d[x, y]:
+                y = chain[-2]
+                break
+            chain.append(y)
+        del chain[-2:]
+        dxy = d[x, y]
+        x, y = min(x, y), max(x, y)
+        nx, ny = size[x], size[y]
+        merges.append([x, y, dxy])
+        size[x] = 0
+        size[y] = nx + ny
+        # Lance-Williams update, term for term in scipy's order
+        i = np.flatnonzero(size)
+        i = i[i != y]
+        ni = size[i]
+        dxi, dyi = d[i, x], d[i, y]
+        t = 1.0 / (nx + ny + ni)
+        d[i, y] = d[y, i] = np.sqrt(
+            (ni + nx) * t * dxi * dxi + (ni + ny) * t * dyi * dyi - ni * t * dxy * dxy
+        )
+        d[x, :] = d[:, x] = np.inf
+    # sort by height (stable), then name each merged cluster n, n + 1, ...
+    merges = [merges[k] for k in np.argsort([m[2] for m in merges], kind="mergesort")]
+    parent = list(range(2 * n - 1))
+    count = [1] * n + [0] * (n - 1)
+
+    def root(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    for k, m in enumerate(merges):
+        a, b = sorted((root(m[0]), root(m[1])))
+        parent[a] = parent[b] = n + k
+        count[n + k] = count[a] + count[b]
+        m[:] = a, b, float(m[2]), count[n + k]
+    return merges
+
+
 def cluster(
     corr: CorrelationMatrix, threshold: float = DEFAULT_THRESHOLD
 ) -> ClusterResult:
@@ -117,13 +188,10 @@ def cluster(
 
     Problems with undefined correlation are excluded from clustering
     and reported separately.  The flat partition cuts the dendrogram at
-    ``threshold``; clusters are ordered by their leftmost leaf so they
+    ``threshold``: it joins the problems of every merge no higher than
+    the threshold.  Clusters are ordered by their leftmost leaf so they
     match a heatmap rendered in leaf order.
     """
-    # imported here so commands that never cluster skip scipy's startup cost
-    from scipy.cluster.hierarchy import fcluster, leaves_list, linkage
-    from scipy.spatial.distance import squareform
-
     if not 0 < threshold < float("inf"):
         raise InputError(f"threshold must be positive and finite, got {threshold}")
     defined = corr.defined_mask
@@ -131,34 +199,36 @@ def cluster(
     kept = [p for p, ok in zip(corr.problems, defined) if ok]
     if not kept:
         raise DomainError("no problem has a defined correlation; nothing to cluster")
-    if len(kept) == 1:
-        dend = Dendrogram((), (kept[0],))
-        return ClusterResult(dend, ((kept[0],),), excluded, threshold)
-
     idx = np.flatnonzero(defined)
     dist = 1.0 - corr.values[np.ix_(idx, idx)]
-    np.fill_diagonal(dist, 0.0)
-    dist = np.maximum(dist, 0.0)
-    condensed = squareform(dist, checks=False)
-    z = linkage(condensed, method="ward")
-    heights = z[:, 2]
-    if np.any(np.diff(heights) < -1e-12):
-        raise DomainError("linkage produced non-monotone merge distances")
+    if not np.isfinite(dist).all():
+        raise DomainError(
+            "correlation is not finite for some problem pair; the means are "
+            "too large or too small to correlate in floating point"
+        )
+    n = len(kept)
+    merges = _ward_linkage(np.maximum(dist, 0.0))
 
-    labels = fcluster(z, t=threshold, criterion="distance")
-    order = leaves_list(z)
-    leaf_problems = tuple(kept[i] for i in order)
+    # merges are sorted by height and each one's children precede it, so
+    # labelling down from the last merge at or below the threshold joins
+    # each leaf to its highest such ancestor, as fcluster's distance cut does
+    label = list(range(2 * n - 1))
+    cut = sum(1 for m in merges if m[2] <= threshold)
+    for k in reversed(range(cut)):
+        a, b = merges[k][:2]
+        label[a] = label[b] = label[n + k]
+    # pre-order walk from the root, left child first
+    order, stack = [], [2 * n - 2]
+    while stack:
+        node = stack.pop()
+        if node < n:
+            order.append(node)
+        else:
+            stack.extend(merges[node - n][1::-1])
 
     by_label: dict[int, list[str]] = {}
-    label_rank: dict[int, int] = {}
-    for pos, i in enumerate(order):
-        lab = int(labels[i])
-        by_label.setdefault(lab, []).append(kept[i])
-        label_rank.setdefault(lab, pos)
-    ordered_labels = sorted(by_label, key=lambda lab: label_rank[lab])
-    clusters = tuple(tuple(by_label[lab]) for lab in ordered_labels)
-
-    merges = tuple(
-        (int(a), int(b), float(d), int(size)) for a, b, d, size in z
-    )
-    return ClusterResult(Dendrogram(merges, leaf_problems), clusters, excluded, threshold)
+    for i in order:
+        by_label.setdefault(label[i], []).append(kept[i])
+    clusters = tuple(tuple(members) for members in by_label.values())
+    dend = Dendrogram(tuple(map(tuple, merges)), tuple(kept[i] for i in order))
+    return ClusterResult(dend, clusters, excluded, threshold)

@@ -22,12 +22,15 @@ class ParseError(InputError):
     """A playthrough or stats CSV failed to parse.
 
     Carries the 1-based line number of the offending row (the header
-    counts as line 1).
+    counts as line 1) and, when the rows came from a file, its path.
     """
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message: str, line: int, path: str | None = None):
+        where = f"line {line}" if path is None else f"{path}: line {line}"
+        super().__init__(f"{where}: {message}")
+        self.message = message
         self.line = line
+        self.path = path
 
 
 class CompletenessError(InputError):

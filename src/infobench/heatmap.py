@@ -10,6 +10,7 @@ block, when present).
 
 from __future__ import annotations
 
+import math
 from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
@@ -38,7 +39,6 @@ def render_heatmap(
 ) -> str:
     """Render the matrix as standalone SVG text in cluster display order."""
     order = clustering.display_order
-    index = {p: corr.problems.index(p) for p in order}
     n = len(order)
     width = LABEL_SPACE + n * CELL + 20
     height = LABEL_SPACE + n * CELL + 20
@@ -56,38 +56,37 @@ def render_heatmap(
             f"{escape(title)}</text>"
         )
 
-    values = corr.values
-    for row, p_row in enumerate(order):
-        i = index[p_row]
+    idx = [corr.problems.index(p) for p in order]
+    names = [escape(p) for p in order]
+    grid = corr.values[np.ix_(idx, idx)].tolist()
+    for row, (name_row, values) in enumerate(zip(names, grid)):
         y = y0 + row * CELL
-        for col, p_col in enumerate(order):
-            j = index[p_col]
+        for col, (name_col, v) in enumerate(zip(names, values)):
             x = x0 + col * CELL
-            v = values[i, j]
-            if np.isnan(v):
+            if math.isnan(v):
                 fill = "rgb(%d,%d,%d)" % GREY
                 label = "undefined"
             else:
-                fill = "rgb(%d,%d,%d)" % color_for(float(v))
-                label = f"{float(v):+.4f}"
+                fill = "rgb(%d,%d,%d)" % color_for(v)
+                label = f"{v:+.4f}"
             parts.append(
                 f'<rect class="cell" x="{x}" y="{y}" width="{CELL}" height="{CELL}" '
-                f'fill="{fill}"><title>{escape(p_row)} / {escape(p_col)}: {label}'
+                f'fill="{fill}"><title>{name_row} / {name_col}: {label}'
                 "</title></rect>"
             )
 
-    for row, p in enumerate(order):
+    for row, p in enumerate(names):
         y = y0 + row * CELL + CELL - 4
         parts.append(
             f'<text x="{x0 - 4}" y="{y}" font-size="{FONT}" text-anchor="end" '
-            f'font-family="sans-serif">{escape(p)}</text>'
+            f'font-family="sans-serif">{p}</text>'
         )
-    for col, p in enumerate(order):
+    for col, p in enumerate(names):
         x = x0 + col * CELL + CELL - 4
         parts.append(
             f'<text x="{x}" y="{y0 - 4}" font-size="{FONT}" text-anchor="start" '
             f'font-family="sans-serif" transform={quoteattr(f"rotate(-90 {x} {y0 - 4})")}>'
-            f"{escape(p)}</text>"
+            f"{p}</text>"
         )
 
     boundaries = []

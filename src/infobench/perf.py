@@ -113,12 +113,21 @@ def _csv_rows(stream: IO[str], header: tuple[str, ...]) -> Iterator[tuple[int, l
         raise ParseError(str(exc), reader.line_num) from None
 
 
+def _first_eight(labels: Sequence[str]) -> str:
+    """The first eight labels, comma-separated, then how many more there are."""
+    more = "" if len(labels) <= 8 else f" and {len(labels) - 8} more"
+    return ", ".join(labels[:8]) + more
+
+
 def _read_text(path: str | Path, read: Callable[[IO[str]], T]) -> T:
-    """Open ``path`` as UTF-8 text and hand the stream to ``read``."""
+    """Open ``path`` as UTF-8 text and hand the stream to ``read``; parse
+    errors name the path."""
     # utf-8-sig drops the byte-order mark that spreadsheet exports prepend
     with open(path, newline="", encoding="utf-8-sig") as f:
         try:
             return read(f)
+        except ParseError as exc:
+            raise ParseError(exc.message, exc.line, str(path)) from None
         except UnicodeDecodeError as exc:
             # the decoder works on buffered chunks, so the line is not known here
             raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
@@ -217,13 +226,9 @@ class PerformanceTable:
             (a, k) for a in agents for k in keys if (a, k) not in cells
         ]
         if missing:
-            shown = ", ".join(
-                f"({a!s}, {k.problem}/{k.measure.value})" for a, k in missing[:8]
-            )
-            more = "" if len(missing) <= 8 else f" and {len(missing) - 8} more"
+            shown = _first_eight([f"({a!s}, {k.problem}/{k.measure.value})" for a, k in missing])
             raise CompletenessError(
-                f"incomplete table, {len(missing)} missing cell(s): {shown}{more}",
-                missing,
+                f"incomplete table, {len(missing)} missing cell(s): {shown}", missing
             )
         grid = [cells[(a, k)] for a in agents for k in keys]
         for (a, k), (mean, stddev, count) in zip(product(agents, keys), grid):
@@ -279,6 +284,8 @@ class PerformanceTable:
 def _gaussian_stat(
     values: Sequence[float], sigma_floor: float, label: str
 ) -> tuple[float, float, int]:
+    """Mean, sample stddev and count; the stddev of a single value is
+    the floor.  ``from_stats`` floors the others."""
     # math.fsum is exactly rounded, so the result does not depend on the
     # order the values arrived in.
     n = len(values)
@@ -294,7 +301,7 @@ def _gaussian_stat(
             stacklevel=3,
         )
         return mean, sigma_floor, n
-    return mean, max(math.sqrt(ssd / (n - 1)), sigma_floor), n
+    return mean, math.sqrt(ssd / (n - 1)), n
 
 
 def aggregate(
@@ -324,11 +331,9 @@ def aggregate(
     missing = [(a, p) for a in agents for p in problems if (a, p) not in scores]
     if missing:
         if not allow_missing:
-            shown = ", ".join(f"({a}, {p})" for a, p in missing[:8])
-            more = "" if len(missing) <= 8 else f" and {len(missing) - 8} more"
             raise CompletenessError(
                 f"{len(missing)} agent-problem pair(s) have no playthroughs: "
-                f"{shown}{more}",
+                + _first_eight([f"({a}, {p})" for a, p in missing]),
                 missing,
             )
         dropped = sorted({a for a, _ in missing})
@@ -342,14 +347,21 @@ def aggregate(
             raise InputError("no agent covers every problem")
 
     rows = []
+    floored = []
     for a in agents:
         for p in problems:
-            rows.append((a, p, Measure.SCORE, *_gaussian_stat(
-                scores[(a, p)], sigma_floor, f"({a}, {p}) score"
-            )))
-            rows.append((a, p, Measure.WIN_RATE, *_gaussian_stat(
-                wins[(a, p)], sigma_floor, f"({a}, {p}) win"
-            )))
+            for measure, values in ((Measure.SCORE, scores), (Measure.WIN_RATE, wins)):
+                label = f"({a}, {p}) {measure.value}"
+                mean, stddev, n = _gaussian_stat(values[(a, p)], sigma_floor, label)
+                if n > 1 and stddev < sigma_floor:
+                    floored.append(label)
+                rows.append((a, p, measure, mean, stddev, n))
+    if floored:
+        warnings.warn(
+            f"{len(floored)} cell(s) with zero or sub-floor variance; stddev set "
+            f"to the floor ({sigma_floor:g}): {_first_eight(floored)}",
+            stacklevel=2,
+        )
     return PerformanceTable.from_stats(rows, sigma_floor)
 
 

@@ -1,12 +1,17 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import full_table, score_table
+import infobench
 from infobench.cli import main
 from infobench.perf import stats_json_document, write_stats_csv
 from reference_heatmap import read_heatmap_cells
@@ -51,6 +56,32 @@ class TestPipeline:
         ]
         for name in expected:
             assert (corpus / name).exists(), name
+
+    def test_no_command_imports_scipy(self, tmp_path):
+        # a None entry in sys.modules makes every import of scipy fail
+        code = (
+            "import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from infobench.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    if main(argv):\n"
+            "        sys.exit(f'{argv} failed')\n"
+        )
+        data, run_dir = str(tmp_path / "data"), str(tmp_path / "run")
+        stats = str(tmp_path / "run" / "stats.csv")
+        commands = [
+            ["synth", "--agents", "4", "--problems", "6", "--samples", "50", "--out", data],
+            ["ingest", "--input", str(tmp_path / "data" / "playthroughs.csv"), "--out", run_dir],
+            ["info-gain", "--stats", stats, "--out", run_dir],
+            ["select", "--stats", stats, "--k", "2", "--out", run_dir],
+            ["correlate", "--stats", stats, "--out", run_dir],
+            ["confusion", "--stats", stats, "--problems", "prob00", "--out", run_dir],
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(infobench.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "run" / "heatmap_score.svg").exists()
 
     def test_ingest_summary(self, tmp_path, capsys):
         data = tmp_path / "d"
@@ -127,7 +158,7 @@ class TestExitCodes:
         bad = tmp_path / "bad.csv"
         bad.write_text("agent,problem,score,win\na1,g,NaN,1\n")
         assert run("ingest", "--input", bad, "--out", tmp_path) == 2
-        assert "line 2" in capsys.readouterr().err
+        assert f"error: {bad}: line 2: non-finite score" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         assert run("ingest", "--input", tmp_path / "nope.csv", "--out", tmp_path) == 2
@@ -246,7 +277,7 @@ class TestExitCodes:
         assert run(*argv, "--out", out) == 2
         err = capsys.readouterr().err
         assert "field limit" in err
-        assert ("line 3" if kind == "playthroughs" else "line 2") in err
+        assert f"{bad}: line {3 if kind == 'playthroughs' else 2}:" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("document, message", [
@@ -349,6 +380,22 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert run("correlate", "--stats", stats, "--out", out) == 1
         assert "error: no problem has a defined correlation" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_correlate_on_overflowing_means_exits_1_without_output(self, tmp_path, capsys):
+        # squared deviations of means near 1e200 overflow, so Pearson r is
+        # not finite and must not be clustered or written
+        table = full_table({
+            p: {"win": ((0.1, 0.4, 0.6, 0.9), (0.1,) * 4),
+                "score": ([1e200 * s for s in signs], (1.0,) * 4)}
+            for p, signs in (("g", (1, -2, 3, -4)), ("h", (2, 1, -3, 4)), ("k", (-1, 3, 2, 1)))
+        })
+        stats = tmp_path / "stats.csv"
+        with open(stats, "w", newline="") as f:
+            write_stats_csv(table, f)
+        out = tmp_path / "out"
+        assert run("correlate", "--stats", stats, "--out", out) == 1
+        assert "error: correlation is not finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_measure_exits_2_without_output(self, tmp_path, capsys):

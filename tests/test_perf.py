@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -132,10 +133,23 @@ class TestAggregate:
 
     def test_all_wins_hits_the_floor(self):
         records = [rec("a1", "g", float(i), True) for i in range(4)]
-        table = aggregate(records, sigma_floor=1e-9)
+        with pytest.warns(UserWarning, match=r"^1 cell\(s\) with zero .*: \(a1, g\) win$"):
+            table = aggregate(records, sigma_floor=1e-9)
         mean, stddev, _ = cell(table, "a1", MetricKey("g", Measure.WIN_RATE))
         assert mean == 1.0
         assert stddev == 1e-9
+
+    def test_floored_cells_are_counted_and_the_first_eight_named(self):
+        # ten agents always lose with one repeated score; a11 varies
+        records = [rec(f"a{i:02d}", "g", 2.0, False) for i in range(10) for _ in range(3)]
+        records += [rec("a11", "g", float(s), s > 0) for s in (-1, 1, 3)]
+        with pytest.warns(UserWarning) as caught:
+            table = aggregate(records)
+        [message] = [str(w.message) for w in caught]
+        assert message.startswith("20 cell(s) with zero or sub-floor variance")
+        assert "(a00, g) score, (a00, g) win, (a01, g) score" in message
+        assert "(a04, g)" not in message and message.endswith(" and 12 more")
+        assert np.all(table.stddevs[:10] == table.sigma_floor)
 
     def test_single_record_warns_and_floors(self):
         with pytest.warns(UserWarning, match="single playthrough"):
@@ -366,10 +380,15 @@ class TestStatsIO:
         (STATS_CSV_HEADER + "a,g,win,0.5,0.1,3\na,g,score,abc,0.1,3\n", 3, "could not convert"),
         (STATS_CSV_HEADER + "a,g,win,0.5,0.1,3\na,g,score,1.0,0.1,2.5\n", 3, "invalid literal"),
     ], ids=["empty", "header", "short-row", "mean", "count"])
-    def test_stats_csv_error_names_line(self, text, line, message):
+    def test_stats_csv_error_names_line(self, tmp_path, text, line, message):
         with pytest.raises(ParseError, match=f"^line {line}: {message}") as exc:
             read_stats_csv(io.StringIO(text))
         assert exc.value.line == line
+        path = tmp_path / "stats.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line {line}: {message}") as exc:
+            load_stats(path)
+        assert (exc.value.path, exc.value.line) == (str(path), line)
 
     def test_bad_stats_json(self):
         with pytest.raises(InputError, match="JSON"):
