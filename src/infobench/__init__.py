@@ -55,6 +55,7 @@ from .perf import (
 from .synth import (
     Archetype,
     SynthSpec,
+    archetypes,
     generate,
 )
 
@@ -83,6 +84,7 @@ __all__ = [
     "SubadditivityViolation",
     "SynthSpec",
     "aggregate",
+    "archetypes",
     "cluster",
     "confusion",
     "correlation_matrix",

@@ -19,10 +19,11 @@ import numpy as np
 
 from . import __version__
 from .cluster import DEFAULT_THRESHOLD, cluster, correlation_matrix
-from .confusion import NOISE_MODES, confusion
+from .confusion import DEFAULT_NOISE, NOISE_MODES, confusion
 from .errors import DomainError, InputError
 from .heatmap import render_heatmap
 from .infogain import (
+    DEFAULT_MODE,
     EPS_GAIN,
     SELECTION_MODES,
     greedy_select,
@@ -42,13 +43,9 @@ from .perf import (
     stats_json_document,
     write_stats_csv,
 )
-from .synth import Archetype, SynthSpec, generate
+from .synth import ARCHETYPE_CHOICES, Archetype, SynthSpec, archetypes, generate
 
 ALL_FORMATS = ("csv", "json", "svg")
-
-ARCHETYPE_CHOICES = ("identical", "linear", "two-cluster", "delayed", "mixed")
-
-_MIXED_CYCLE = ("linear", "two_cluster", "delayed")
 
 _DEFAULT = " (default: %(default)s)"
 
@@ -328,21 +325,9 @@ def cmd_confusion(args: argparse.Namespace) -> int:
     return 0
 
 
-def _synth_spec(args: argparse.Namespace) -> SynthSpec:
-    kinds: list[Archetype] = []
-    for i in range(args.problems):
-        name = args.archetype
-        if name == "mixed":
-            if i % 4 == 3:
-                kinds.append(Archetype("duplicate", source=i - 3))
-                continue
-            name = _MIXED_CYCLE[i % 4]
-        kinds.append(Archetype(name.replace("-", "_"), gap=args.gap, sigma=args.sigma))
-    return SynthSpec(args.agents, tuple(kinds), args.samples, args.seed)
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
-    spec = _synth_spec(args)
+    kinds = archetypes(args.archetype, args.problems, args.gap, args.sigma)
+    spec = SynthSpec(args.agents, kinds, args.samples, args.seed)
     records = generate(spec)
     _write_csv(
         _outdir(args) / "playthroughs.csv",
@@ -383,9 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     formats = shared("--format", dest="formats", type=_comma_list, default=",".join(ALL_FORMATS),
                      help="comma-separated output formats" + _DEFAULT)
     stats = shared("--stats", required=True, help="aggregated stats file (.csv or .json)")
-    noise = shared("--noise", choices=NOISE_MODES, default="sum",
+    noise = shared("--noise", choices=NOISE_MODES, default=DEFAULT_NOISE,
                    help="how per-agent noise scales combine" + _DEFAULT)
-    metric = shared("--metric", choices=SELECTION_MODES, default="combined",
+    metric = shared("--metric", choices=SELECTION_MODES, default=DEFAULT_MODE,
                     help="performance signal(s) to use" + _DEFAULT)
 
     p = sub.add_parser("ingest", parents=[common, formats],

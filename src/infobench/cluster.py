@@ -59,9 +59,9 @@ class CorrelationMatrix:
 def correlation_matrix(table: PerformanceTable, measure: Measure) -> CorrelationMatrix:
     """Pearson correlation between every problem pair for one measure.
 
-    Means so large (or so small) that a squared deviation overflows (or a
-    norm product underflows) give non-finite entries, which ``cluster``
-    rejects.
+    Pearson r is scale-invariant, so each profile is first scaled by the
+    power of two (exact) that brings its largest magnitude into [0.5, 1):
+    squares and norm products can then neither overflow nor underflow.
     """
     measure = Measure(measure)
     if len(table.agents) < 3:
@@ -71,20 +71,19 @@ def correlation_matrix(table: PerformanceTable, measure: Measure) -> Correlation
         )
     problems = table.problems
     rows = np.stack([table.column(MetricKey(p, measure))[0] for p in problems])
+    _, exponents = np.frexp(np.abs(rows).max(axis=1, keepdims=True))
+    rows = np.ldexp(rows, -exponents)
     n = len(problems)
     values = np.full((n, n), np.nan)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        centered = rows - rows.mean(axis=1, keepdims=True)
-        sq_norms = (centered * centered).sum(axis=1)
-        defined = sq_norms > 0.0
-        if defined.any():
-            idx = np.flatnonzero(defined)
-            sub = centered[idx]
-            # single square root of the norm product keeps the +/-1 cases exact
-            r = (sub @ sub.T) / np.sqrt(np.outer(sq_norms[idx], sq_norms[idx]))
-            r = (r + r.T) / 2.0
-            np.fill_diagonal(r, 1.0)
-            values[np.ix_(idx, idx)] = r
+    centered = rows - rows.mean(axis=1, keepdims=True)
+    sq_norms = (centered * centered).sum(axis=1)
+    idx = np.flatnonzero(sq_norms > 0.0)
+    sub = centered[idx]
+    # single square root of the norm product keeps the +/-1 cases exact
+    r = (sub @ sub.T) / np.sqrt(np.outer(sq_norms[idx], sq_norms[idx]))
+    r = (r + r.T) / 2.0
+    np.fill_diagonal(r, 1.0)
+    values[np.ix_(idx, idx)] = r
     return CorrelationMatrix(problems, values)
 
 
@@ -202,10 +201,7 @@ def cluster(
     idx = np.flatnonzero(defined)
     dist = 1.0 - corr.values[np.ix_(idx, idx)]
     if not np.isfinite(dist).all():
-        raise DomainError(
-            "correlation is not finite for some problem pair; the means are "
-            "too large or too small to correlate in floating point"
-        )
+        raise DomainError("correlation is not finite for some problem pair")
     n = len(kept)
     merges = _ward_linkage(np.maximum(dist, 0.0))
 

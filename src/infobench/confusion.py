@@ -23,11 +23,13 @@ ROW_SUM_TOL = 1e-9
 
 NOISE_MODES = ("sum", "rss")
 
+DEFAULT_NOISE = "sum"
+
 
 def _pair_scales(stddevs: np.ndarray, noise: str) -> np.ndarray:
     """Combined noise scale for every (observed, candidate) pair.
 
-    ``sum`` adds the two standard deviations (the default); ``rss``
+    ``sum`` adds the two standard deviations; ``rss``
     takes the root of the summed variances instead.
     """
     if noise == "sum":
@@ -50,7 +52,7 @@ def validate_metric_keys(
     return keys
 
 
-def log_weight_term(table: PerformanceTable, key: MetricKey, noise: str = "sum") -> np.ndarray:
+def log_weight_term(table: PerformanceTable, key: MetricKey, noise: str) -> np.ndarray:
     """One key's unnormalized log belief weights, entry (i, j) for observed
     i, candidate j.  Over a key set the terms add up.
 
@@ -77,7 +79,7 @@ def add_log_weights(total: np.ndarray, terms) -> np.ndarray:
 
 
 def log_weight_matrix(
-    table: PerformanceTable, keys: Sequence[MetricKey], noise: str = "sum"
+    table: PerformanceTable, keys: Sequence[MetricKey], noise: str = DEFAULT_NOISE
 ) -> np.ndarray:
     """Unnormalized log belief weights, entry (i, j) for observed i, candidate j."""
     keys = validate_metric_keys(table, keys)
@@ -86,7 +88,7 @@ def log_weight_matrix(
 
 
 def log_weight_terms(
-    table: PerformanceTable, keys: Sequence[MetricKey], noise: str = "sum"
+    table: PerformanceTable, keys: Sequence[MetricKey], noise: str
 ) -> dict[MetricKey, np.ndarray]:
     """Each key's log weights on its own, computed once per key.
 
@@ -161,7 +163,7 @@ def confusion_from_log_weights(
 
 
 def confusion(
-    table: PerformanceTable, keys: Sequence[MetricKey], noise: str = "sum"
+    table: PerformanceTable, keys: Sequence[MetricKey], noise: str = DEFAULT_NOISE
 ) -> ConfusionMatrix:
     """Confusion matrix over the table's agents for the given key set."""
     _require_two_agents(table)

@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .confusion import (
+    DEFAULT_NOISE,
     ConfusionMatrix,
     add_log_weights,
     check_row_stochastic,
@@ -31,6 +32,8 @@ from .perf import Measure, MetricKey, PerformanceTable
 EPS_GAIN = 1e-9
 
 SELECTION_MODES = ("win", "score", "combined")
+
+DEFAULT_MODE = "combined"
 
 
 def row_entropies_bits(probs: np.ndarray) -> np.ndarray:
@@ -56,7 +59,7 @@ def mutual_information(matrix: ConfusionMatrix | np.ndarray) -> float:
 
 
 def info_gain_set(
-    table: PerformanceTable, keys: Sequence[MetricKey], noise: str = "sum"
+    table: PerformanceTable, keys: Sequence[MetricKey], noise: str = DEFAULT_NOISE
 ) -> float:
     """Information gain in bits of observing all metric keys in the set."""
     return mutual_information(confusion(table, keys, noise))
@@ -80,7 +83,9 @@ def metric_keys_for(problem: str, mode: str) -> tuple[MetricKey, ...]:
     raise InputError(f"unknown mode {mode!r}, expected one of {SELECTION_MODES}")
 
 
-def problem_gains(table: PerformanceTable, problem: str, noise: str = "sum") -> dict[str, float]:
+def problem_gains(
+    table: PerformanceTable, problem: str, noise: str = DEFAULT_NOISE
+) -> dict[str, float]:
     """Gain in bits of one problem under each selection mode.
 
     The win and score terms are computed once; ``combined`` adds the same
@@ -162,9 +167,9 @@ def _candidate_units(
 def greedy_select(
     table: PerformanceTable,
     k: int,
-    mode: str = "combined",
+    mode: str = DEFAULT_MODE,
     *,
-    noise: str = "sum",
+    noise: str = DEFAULT_NOISE,
     eps_gain: float = EPS_GAIN,
     per_key: bool = False,
 ) -> SelectionReport:
@@ -243,7 +248,7 @@ class SubadditivityViolation:
 
 
 def subadditivity_audit(
-    table: PerformanceTable, noise: str = "sum", tol: float = EPS_GAIN
+    table: PerformanceTable, noise: str = DEFAULT_NOISE, tol: float = EPS_GAIN
 ) -> list[SubadditivityViolation]:
     """Report problems whose combined gain exceeds the sum of the win-only
     and score-only gains.

@@ -5,13 +5,14 @@ into plain ``(agent, problem, score, win)`` tuples in file order.  Each
 (agent, problem) pair is summarised by two metric cells: the win rate
 (mean of the 0/1 outcomes) and the score, both modelled as Gaussians
 with a sample mean, a Bessel-corrected sample standard deviation and a
-sample count.  Standard deviations are floored at ``sigma_floor`` so
-deterministic cells (e.g. an agent that always wins) never produce a
-zero noise scale downstream.
+sample count.
 
 Every table is built by ``PerformanceTable.from_stats`` from stats rows
 ``(agent, problem, measure, mean, stddev, count)``, the rows of a stats
-file: ``aggregate`` and both stats readers produce them.
+file: ``aggregate`` and both stats readers produce them.  It alone
+decides a cell's noise scale: it floors every standard deviation at
+``sigma_floor``, so deterministic cells (e.g. an agent that always wins)
+never produce a zero noise scale downstream, and it reports those cells.
 
 Both headed CSV inputs, playthroughs and stats, are read row by row by
 ``_csv_rows``, and both files are opened and decoded by ``_read_text``.
@@ -182,13 +183,11 @@ class PerformanceTable:
     stddevs: np.ndarray
     counts: np.ndarray
     sigma_floor: float = SIGMA_FLOOR_DEFAULT
-    _agent_index: dict = field(repr=False, default_factory=dict)
     _key_index: dict = field(repr=False, default_factory=dict)
 
     def __post_init__(self):
         for arr in (self.means, self.stddevs, self.counts):
             arr.setflags(write=False)
-        self._agent_index.update({a: i for i, a in enumerate(self.agents)})
         self._key_index.update({k: i for i, k in enumerate(self.keys)})
 
     @classmethod
@@ -201,8 +200,10 @@ class PerformanceTable:
         rows, the rows of a stats file, in any order.
 
         Every agent appearing anywhere must have exactly one row for
-        every key appearing anywhere; standard deviations are floored
-        here.
+        every key appearing anywhere.  Standard deviations are floored at
+        ``sigma_floor`` here, with one counted warning for the cells of a
+        single playthrough and one for the cells of two or more whose
+        stddev is below the floor.
         """
         if not (sigma_floor > 0 and math.isfinite(sigma_floor)):
             raise InputError(f"sigma_floor must be positive and finite, got {sigma_floor}")
@@ -231,6 +232,7 @@ class PerformanceTable:
                 f"incomplete table, {len(missing)} missing cell(s): {shown}", missing
             )
         grid = [cells[(a, k)] for a in agents for k in keys]
+        single, sub_floor = [], []
         for (a, k), (mean, stddev, count) in zip(product(agents, keys), grid):
             if not (math.isfinite(mean) and math.isfinite(stddev)):
                 fault = "non-finite stat for cell {}"
@@ -241,8 +243,20 @@ class PerformanceTable:
             elif count > _MAX_COUNT:
                 fault = f"cell {{}} has count {count}, above {_MAX_COUNT}"
             else:
+                if count == 1 or stddev < sigma_floor:
+                    label = f"({a}, {k.problem}) {k.measure.value}"
+                    (single if count == 1 else sub_floor).append(label)
                 continue
             raise InputError(fault.format(f"({a}, {k.problem}/{k.measure.value})"))
+        for labels, reason in (
+            (single, "with a single playthrough; no sample stddev, so at least the floor"),
+            (sub_floor, "with zero or sub-floor variance; stddev set to the floor"),
+        ):
+            if labels:
+                warnings.warn(
+                    f"{len(labels)} cell(s) {reason} ({sigma_floor:g}): {_first_eight(labels)}",
+                    stacklevel=2,
+                )
         shape = (len(agents), len(keys))
         means, stds, counts = zip(*grid)
         return cls(
@@ -261,12 +275,6 @@ class PerformanceTable:
             seen.setdefault(k.problem, None)
         return tuple(seen)
 
-    def agent_index(self, agent: str) -> int:
-        try:
-            return self._agent_index[agent]
-        except KeyError:
-            raise CompletenessError(f"unknown agent {agent!r}")
-
     def key_index(self, key: MetricKey) -> int:
         try:
             return self._key_index[key]
@@ -281,27 +289,14 @@ class PerformanceTable:
         return self.means[:, j], self.stddevs[:, j]
 
 
-def _gaussian_stat(
-    values: Sequence[float], sigma_floor: float, label: str
-) -> tuple[float, float, int]:
-    """Mean, sample stddev and count; the stddev of a single value is
-    the floor.  ``from_stats`` floors the others."""
+def _gaussian_stat(values: Sequence[float]) -> tuple[float, float, int]:
+    """Mean, sample stddev and count; the stddev of a single value is 0.0."""
     # math.fsum is exactly rounded, so the result does not depend on the
     # order the values arrived in.
     n = len(values)
-    try:
-        mean = math.fsum(values) / n
-        ssd = math.fsum((v - mean) ** 2 for v in values)
-    except OverflowError:
-        raise InputError(f"{label} values are too large to summarise in floating point") from None
-    if n < 2:
-        warnings.warn(
-            f"single playthrough for {label}; stddev set to the floor "
-            f"({sigma_floor:g})",
-            stacklevel=3,
-        )
-        return mean, sigma_floor, n
-    return mean, math.sqrt(ssd / (n - 1)), n
+    mean = math.fsum(values) / n
+    ssd = math.fsum((v - mean) ** 2 for v in values)
+    return mean, math.sqrt(ssd / (n - 1)) if n > 1 else 0.0, n
 
 
 def aggregate(
@@ -347,21 +342,16 @@ def aggregate(
             raise InputError("no agent covers every problem")
 
     rows = []
-    floored = []
     for a in agents:
         for p in problems:
             for measure, values in ((Measure.SCORE, scores), (Measure.WIN_RATE, wins)):
-                label = f"({a}, {p}) {measure.value}"
-                mean, stddev, n = _gaussian_stat(values[(a, p)], sigma_floor, label)
-                if n > 1 and stddev < sigma_floor:
-                    floored.append(label)
-                rows.append((a, p, measure, mean, stddev, n))
-    if floored:
-        warnings.warn(
-            f"{len(floored)} cell(s) with zero or sub-floor variance; stddev set "
-            f"to the floor ({sigma_floor:g}): {_first_eight(floored)}",
-            stacklevel=2,
-        )
+                try:
+                    rows.append((a, p, measure, *_gaussian_stat(values[(a, p)])))
+                except OverflowError:
+                    raise InputError(
+                        f"({a}, {p}) {measure.value} values are too large to "
+                        "summarise in floating point"
+                    ) from None
     return PerformanceTable.from_stats(rows, sigma_floor)
 
 

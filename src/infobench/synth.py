@@ -19,6 +19,10 @@ from .errors import InputError
 
 ARCHETYPE_KINDS = ("identical", "linear", "two_cluster", "delayed", "duplicate")
 
+ARCHETYPE_CHOICES = ("identical", "linear", "two-cluster", "delayed", "mixed")
+
+_MIXED_CYCLE = ("linear", "two_cluster", "delayed")
+
 
 @dataclass(frozen=True)
 class Archetype:
@@ -82,6 +86,21 @@ class SynthSpec:
         return tuple(f"prob{i:02d}" for i in range(len(self.archetypes)))
 
 
+def archetypes(
+    name: str, problems: int, gap: float = Archetype.gap, sigma: float = Archetype.sigma
+) -> tuple[Archetype, ...]:
+    """Archetypes of ``problems`` problems for a name in ``ARCHETYPE_CHOICES``:
+    all of one kind, or for ``mixed`` linear, two-cluster and delayed in
+    turn with every fourth problem a duplicate of the one three before."""
+    if name != "mixed":
+        return (Archetype(name.replace("-", "_"), gap=gap, sigma=sigma),) * problems
+    return tuple(
+        Archetype("duplicate", source=i - 3) if i % 4 == 3
+        else Archetype(_MIXED_CYCLE[i % 4], gap=gap, sigma=sigma)
+        for i in range(problems)
+    )
+
+
 def _archetype_params(spec: SynthSpec) -> list[tuple[np.ndarray, float, np.ndarray]]:
     """Per problem: (score means, score sigma, win probabilities), per agent."""
     n = spec.agents
@@ -100,11 +119,9 @@ def _archetype_params(spec: SynthSpec) -> list[tuple[np.ndarray, float, np.ndarr
             half = (n + 1) // 2
             mu = np.where(np.arange(n) < half, 0.0, arch.gap)
             p = np.where(np.arange(n) < half, 0.2, 0.8)
-        elif arch.kind == "delayed":
+        else:  # delayed
             mu = arch.gap * np.arange(n - 1, -1, -1, dtype=float)
             p = np.linspace(0.1, 0.9, n) if n > 1 else np.array([0.5])
-        else:  # pragma: no cover
-            raise AssertionError(arch.kind)
         params.append((mu, arch.sigma, p))
     return params
 

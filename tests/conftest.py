@@ -40,7 +40,7 @@ def full_table(problems, counts=10, sigma_floor=SIGMA_FLOOR_DEFAULT):
 
 def cell(table, agent, key):
     """(mean, stddev, count) of one table cell."""
-    i, j = table.agent_index(agent), table.key_index(key)
+    i, j = table.agents.index(agent), table.key_index(key)
     return float(table.means[i, j]), float(table.stddevs[i, j]), int(table.counts[i, j])
 
 

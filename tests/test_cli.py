@@ -137,6 +137,24 @@ class TestPipeline:
         )
         assert all(float(v) == pytest.approx(0.0, abs=1e-12) for v in rows["dull"][1:])
 
+    def test_select_reports_negative_marginals(self, tmp_path):
+        # adding "blur" after "sharp" destroys information (see test_greedy)
+        table = score_table({"blur": ((-0.8, 1.0), (5.0, 1.6)),
+                             "sharp": ((-0.6, -0.8), (0.3, 1.7))})
+        stats = tmp_path / "stats.csv"
+        with open(stats, "w", newline="") as f:
+            write_stats_csv(table, f)
+        assert run("select", "--stats", stats, "--metric", "score", "--k", 2,
+                   "--out", tmp_path) == 0
+        doc = json.loads((tmp_path / "selection.json").read_text())
+        [neg] = doc["negative_marginals"]
+        assert (neg["step"], neg["problem"]) == (2, "blur") and neg["marginal_bits"] < -1e-3
+        assert [s["problem"] for s in doc["steps"]] == ["sharp"]
+        lines = (tmp_path / "selection.txt").read_text().splitlines()
+        assert lines[-1] == (f"(step 2: skipped 'blur', marginal "
+                             f"{neg['marginal_bits']:.3g} bits < 0)")
+        assert lines[-2].startswith("(early stop: stopped at step 2")
+
     def test_json_outputs_reemit_byte_identically(self, corpus):
         run("info-gain", "--stats", corpus / "stats.csv", "--out", corpus)
         run("select", "--stats", corpus / "stats.csv", "--k", 3, "--out", corpus)
@@ -183,6 +201,36 @@ class TestExitCodes:
         with pytest.warns(UserWarning):
             assert run("ingest", "--input", bad, "--out", tmp_path,
                        "--allow-missing") == 0
+
+    def test_allow_missing_with_no_covering_agent_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "gap.csv"
+        bad.write_text("agent,problem,score,win\na1,g1,1.0,1\na1,g1,2.0,0\n"
+                       "a2,g2,1.0,1\na2,g2,2.0,0\n")
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning, match="dropping 2 agent"):
+            assert run("ingest", "--input", bad, "--out", out, "--allow-missing") == 2
+        assert "error: no agent covers every problem" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_single_playthrough_corpus_gives_one_counted_warning(self, tmp_path):
+        data = tmp_path / "data"
+        run("synth", "--agents", 3, "--problems", 4, "--samples", 1, "--out", data)
+        with pytest.warns(UserWarning) as caught:
+            assert run("ingest", "--input", data / "playthroughs.csv", "--out", tmp_path) == 0
+        [message] = [str(w.message) for w in caught]
+        assert message.startswith("24 cell(s) with a single playthrough")
+
+    def test_zero_stddev_stats_file_is_floored_with_a_warning(self, tmp_path):
+        stats = tmp_path / "stats.csv"
+        stats.write_text("agent,problem,measure,mean,stddev,count\n"
+                         "a1,g,win,0.0,0.0,20\na1,g,score,1.0,1.0,20\n"
+                         "a2,g,win,1.0,0.0,20\na2,g,score,2.0,1.0,20\n")
+        with pytest.warns(UserWarning, match=r"^2 cell\(s\) with zero or sub-floor variance; "
+                          r"stddev set to the floor \(1e-09\): \(a1, g\) win, \(a2, g\) win$"):
+            assert run("info-gain", "--stats", stats, "--out", tmp_path) == 0
+        with open(tmp_path / "info_gain.csv") as f:
+            [row] = list(csv.DictReader(f))
+        assert float(row["win_bits"]) == 1.0
 
     def test_domain_error_exit_code(self, tmp_path, capsys):
         # correlation over two agents is undefined
@@ -382,20 +430,30 @@ class TestExitCodes:
         assert "error: no problem has a defined correlation" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_correlate_on_overflowing_means_exits_1_without_output(self, tmp_path, capsys):
-        # squared deviations of means near 1e200 overflow, so Pearson r is
-        # not finite and must not be clustered or written
+    def test_correlate_on_huge_means_gives_the_unscaled_r(self, tmp_path):
+        # squared deviations of means near 1e200 would overflow; Pearson r
+        # is scale-invariant, so it is that of the unscaled profiles
+        profiles = {"g": (1, -2, 3, -4), "h": (2, 1, -3, 4), "k": (-1, 3, 2, 1)}
         table = full_table({
             p: {"win": ((0.1, 0.4, 0.6, 0.9), (0.1,) * 4),
                 "score": ([1e200 * s for s in signs], (1.0,) * 4)}
-            for p, signs in (("g", (1, -2, 3, -4)), ("h", (2, 1, -3, 4)), ("k", (-1, 3, 2, 1)))
+            for p, signs in profiles.items()
         })
         stats = tmp_path / "stats.csv"
         with open(stats, "w", newline="") as f:
             write_stats_csv(table, f)
         out = tmp_path / "out"
-        assert run("correlate", "--stats", stats, "--out", out) == 1
-        assert "error: correlation is not finite" in capsys.readouterr().err
+        assert run("correlate", "--stats", stats, "--out", out) == 0
+        doc = json.loads((out / "correlation_score.json").read_text())
+        expected = np.corrcoef(np.array(list(profiles.values()), dtype=float))
+        np.testing.assert_allclose(doc["matrix"], expected, rtol=0, atol=1e-15)
+
+    def test_header_only_stats_csv_exits_2_without_output(self, tmp_path, capsys):
+        stats = tmp_path / "stats.csv"
+        stats.write_text("agent,problem,measure,mean,stddev,count\n")
+        out = tmp_path / "out"
+        assert run("info-gain", "--stats", stats, "--out", out) == 2
+        assert "error: no cells given" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_measure_exits_2_without_output(self, tmp_path, capsys):
@@ -462,6 +520,22 @@ class TestConfigFile:
                    "--config", cfg) == 0
         doc = json.loads((corpus / "selection.json").read_text())
         assert doc["mode"] == mode
+
+    def test_non_boolean_config_flag_exits_2(self, corpus, tmp_path, capsys):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("per-key=maybe\n")
+        out = tmp_path / "out"
+        assert run("select", "--stats", corpus / "stats.csv", "--out", out,
+                   "--config", cfg) == 2
+        assert "error: config key 'per-key': not a boolean: 'maybe'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unreadable_config_file_exits_2(self, corpus, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("select", "--stats", corpus / "stats.csv", "--out", out,
+                   "--config", tmp_path / "missing.conf") == 2
+        assert "error: cannot read config file" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_key_of_another_command_is_ignored(self, corpus, tmp_path):
         cfg = tmp_path / "run.conf"

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import PEARSON_123_124, random_score_table, score_table
-from infobench.cluster import cluster, correlation_matrix
+from infobench.cluster import CorrelationMatrix, cluster, correlation_matrix
 from infobench.errors import DomainError, InputError
 from infobench.perf import Measure
 from reference_cluster import naive_ward_partition
@@ -43,6 +43,14 @@ class TestCorrelationMatrix:
         assert np.isnan(corr.values[i]).all()
         assert np.isnan(corr.values[:, i]).all()
         assert list(corr.defined_mask) == [np.False_, np.True_]
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-82, 1e-80, 1e200, 1e300])
+    def test_scaled_profiles_give_the_unscaled_r(self, scale):
+        # squares of these profiles overflow or are subnormal; r is scale-invariant
+        base = np.random.default_rng(7).normal(size=(6, 5))
+        unscaled = corr_of({f"g{i}": row for i, row in enumerate(base)})
+        scaled = corr_of({f"g{i}": row * scale for i, row in enumerate(base)})
+        assert_allclose(scaled.values, unscaled.values, rtol=0, atol=1e-15)
 
     def test_requires_three_agents(self):
         table = score_table({"g": ((0.0, 1.0), (1.0, 1.0))})
@@ -136,6 +144,11 @@ class TestCluster:
         order = list(result.dendrogram.leaf_order)
         flattened = [p for members in result.clusters for p in members]
         assert flattened == order
+
+    def test_non_finite_correlation_is_a_domain_error(self):
+        values = np.array([[1.0, np.inf, 0.5], [np.inf, 1.0, 0.5], [0.5, 0.5, 1.0]])
+        with pytest.raises(DomainError, match="correlation is not finite"):
+            cluster(CorrelationMatrix(("g", "h", "k"), values))
 
     def test_threshold_validation(self):
         corr = corr_of({"g": (1.0, 2.0, 3.0), "h": (3.0, 2.0, 1.0)})

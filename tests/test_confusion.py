@@ -27,13 +27,13 @@ class TestLogWeight:
     def test_same_agent_unit_noise(self):
         table = score_table({"g": ((0.0, 0.0), (1.0, 1.0))})
         expected = -0.5 * math.log(8 * math.pi)  # -1.6120857137646181
-        i = table.agent_index("a00")
+        i = table.agents.index("a00")
         assert log_weight_matrix(table, [G])[i, i] == pytest.approx(expected, abs=1e-12)
 
     def test_unit_mean_gap(self):
         table = score_table({"g": ((0.0, 1.0), (1.0, 1.0))})
         expected = -0.125 - 0.5 * math.log(8 * math.pi)  # -1.7370857137646181
-        i, j = table.agent_index("a00"), table.agent_index("a01")
+        i, j = table.agents.index("a00"), table.agents.index("a01")
         assert log_weight_matrix(table, [G])[i, j] == pytest.approx(expected, abs=1e-12)
 
     def test_two_identical_games_double_the_value(self):
@@ -44,7 +44,7 @@ class TestLogWeight:
                 "h": ((0.0, 1.0), (1.0, 1.0)),
             }
         )
-        i, j = one.agent_index("a00"), one.agent_index("a01")
+        i, j = one.agents.index("a00"), one.agents.index("a01")
         single = log_weight_matrix(one, [G])[i, j]
         both = log_weight_matrix(two, score_keys(two))[i, j]
         assert both == pytest.approx(2 * single, rel=1e-15)
@@ -59,14 +59,14 @@ class TestLogWeight:
                 expected = -((mus[i] - mus[j]) ** 2) / (2 * scale**2) - 0.5 * math.log(
                     2 * math.pi * scale**2
                 )
-                entry = matrix[table.agent_index(obs), table.agent_index(cand)]
+                entry = matrix[table.agents.index(obs), table.agents.index(cand)]
                 assert entry == pytest.approx(expected, rel=1e-15)
 
     def test_rss_combination(self):
         table = score_table({"g": ((0.0, 1.0), (1.0, 2.0))})
         scale = math.hypot(1.0, 2.0)
         expected = -1.0 / (2 * scale**2) - 0.5 * math.log(2 * math.pi * scale**2)
-        i, j = table.agent_index("a00"), table.agent_index("a01")
+        i, j = table.agents.index("a00"), table.agents.index("a01")
         assert log_weight_matrix(table, [G], noise="rss")[i, j] == pytest.approx(
             expected, abs=1e-12
         )

@@ -158,6 +158,27 @@ class TestAggregate:
         assert stddev == 1e-9
         assert count == 1
 
+    def test_single_playthrough_cells_share_one_counted_warning(self):
+        records = [rec(f"a{i}", p, 1.0, True) for i in range(3) for p in ("g", "h")]
+        with pytest.warns(UserWarning) as caught:
+            aggregate(records)
+        [message] = [str(w.message) for w in caught]
+        assert message.startswith("12 cell(s) with a single playthrough")
+        assert message.endswith(": (a0, g) score, (a0, g) win, (a0, h) score, (a0, h) win, "
+                                "(a1, g) score, (a1, g) win, (a1, h) score, (a1, h) win "
+                                "and 4 more")
+
+    def test_stats_rows_are_floored_and_reported_as_ingest_does(self):
+        rows = [("a1", "g", "win", 0.0, 0.0, 20), ("a2", "g", "win", 1.0, 0.0, 20),
+                ("a3", "g", "win", 0.5, 0.5, 20)]
+        with pytest.warns(UserWarning) as caught:
+            table = PerformanceTable.from_stats(rows)
+        assert [str(w.message) for w in caught] == [
+            "2 cell(s) with zero or sub-floor variance; stddev set to the floor (1e-09): "
+            "(a1, g) win, (a2, g) win"
+        ]
+        assert table.stddevs[:, 0].tolist() == [1e-9, 1e-9, 0.5]
+
     def test_missing_pair_is_an_error(self):
         records = [
             rec("a1", "g1", 1.0, True),
@@ -293,8 +314,6 @@ class TestPerformanceTable:
 
     def test_unknown_lookups(self):
         table = aggregate(two_agent_records([1, 2], [3, 4]))
-        with pytest.raises(CompletenessError):
-            table.agent_index("nobody")
         with pytest.raises(CompletenessError):
             table.key_index(MetricKey("missing", Measure.SCORE))
 

@@ -8,13 +8,31 @@ from infobench.confusion import confusion
 from infobench.errors import InputError
 from infobench.infogain import info_gain_set, greedy_select
 from infobench.perf import Measure, MetricKey, aggregate
-from infobench.synth import Archetype, SynthSpec, generate
+from infobench.synth import Archetype, SynthSpec, archetypes, generate
 from reference_oracle import (
     OracleRangeError,
     oracle_best_subset,
     oracle_confusion_rows,
     oracle_info_gain,
 )
+
+
+class TestArchetypes:
+    def test_mixed_cycles_kinds_and_duplicates_every_fourth(self):
+        kinds = archetypes("mixed", 9, gap=3.0, sigma=2.0)
+        assert [a.kind for a in kinds] == [
+            "linear", "two_cluster", "delayed", "duplicate",
+            "linear", "two_cluster", "delayed", "duplicate", "linear",
+        ]
+        assert [a.source for a in kinds if a.kind == "duplicate"] == [0, 4]
+        assert {(a.gap, a.sigma) for a in kinds if a.kind != "duplicate"} == {(3.0, 2.0)}
+
+    def test_a_hyphenated_name_is_one_kind_throughout(self):
+        assert archetypes("two-cluster", 2) == (Archetype("two_cluster"),) * 2
+
+    def test_unknown_name_is_an_input_error(self):
+        with pytest.raises(InputError, match="unknown archetype"):
+            archetypes("zigzag", 2)
 
 
 class TestSpecValidation:
