@@ -13,6 +13,7 @@ import argparse
 import csv
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -430,9 +431,16 @@ _COMMANDS = {
 }
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a warning prints as one line, like an error; only the formatter is
+    # swapped, so a caller that records warnings still gets them
+    default_format, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         if args.config:
             # the config file supplies defaults for the chosen command only,
@@ -451,6 +459,8 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = default_format
 
 
 if __name__ == "__main__":

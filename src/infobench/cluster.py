@@ -107,7 +107,6 @@ class ClusterResult:
     dendrogram: Dendrogram
     clusters: tuple[tuple[str, ...], ...]
     excluded: tuple[str, ...]
-    threshold: float
 
     @property
     def display_order(self) -> tuple[str, ...]:
@@ -227,4 +226,4 @@ def cluster(
         by_label.setdefault(label[i], []).append(kept[i])
     clusters = tuple(tuple(members) for members in by_label.values())
     dend = Dendrogram(tuple(map(tuple, merges)), tuple(kept[i] for i in order))
-    return ClusterResult(dend, clusters, excluded, threshold)
+    return ClusterResult(dend, clusters, excluded)

@@ -11,7 +11,7 @@ block, when present).
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape, quoteattr
+from html import escape
 
 import numpy as np
 
@@ -53,11 +53,11 @@ def render_heatmap(
     if title:
         parts.append(
             f'<text x="{x0}" y="16" font-size="12" font-family="sans-serif">'
-            f"{escape(title)}</text>"
+            f"{escape(title, quote=False)}</text>"
         )
 
     idx = [corr.problems.index(p) for p in order]
-    names = [escape(p) for p in order]
+    names = [escape(p, quote=False) for p in order]
     grid = corr.values[np.ix_(idx, idx)].tolist()
     for row, (name_row, values) in enumerate(zip(names, grid)):
         y = y0 + row * CELL
@@ -85,7 +85,7 @@ def render_heatmap(
         x = x0 + col * CELL + CELL - 4
         parts.append(
             f'<text x="{x}" y="{y0 - 4}" font-size="{FONT}" text-anchor="start" '
-            f'font-family="sans-serif" transform={quoteattr(f"rotate(-90 {x} {y0 - 4})")}>'
+            f'font-family="sans-serif" transform="rotate(-90 {x} {y0 - 4})">'
             f"{p}</text>"
         )
 

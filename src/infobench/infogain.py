@@ -185,6 +185,10 @@ def greedy_select(
         raise InputError(f"k must be a positive integer, got {k}")
     if not eps_gain > 0:
         raise InputError(f"eps_gain must be positive, got {eps_gain}")
+    n = len(table.agents)
+    # gains are ranked as multiples of eps_gain, and no gain exceeds log2(n)
+    if not math.isfinite(math.log2(n) / eps_gain):
+        raise InputError(f"eps_gain must be at least log2({n}) / max float, got {eps_gain:g}")
     units = _candidate_units(table, mode, per_key)
     if k > len(units):
         warnings.warn(
@@ -199,7 +203,6 @@ def greedy_select(
     # info_gain_set(selected + candidate) would, so gains are bit-identical
     terms = log_weight_terms(table, [key for c in remaining for key in units[c]], noise)
     unit_terms = {c: [terms[key] for key in units[c]] for c in remaining}
-    n = len(table.agents)
     selected_log_weights = np.zeros((n, n))
     steps: list[SelectionStep] = []
     negatives: list[NegativeMarginal] = []

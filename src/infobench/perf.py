@@ -120,6 +120,11 @@ def _first_eight(labels: Sequence[str]) -> str:
     return ", ".join(labels[:8]) + more
 
 
+def _cell_name(agent: str, problem: str, measure: Measure) -> str:
+    """One cell as every message names it: ``(a1, g) win``."""
+    return f"({agent}, {problem}) {measure.value}"
+
+
 def _read_text(path: str | Path, read: Callable[[IO[str]], T]) -> T:
     """Open ``path`` as UTF-8 text and hand the stream to ``read``; parse
     errors name the path."""
@@ -215,8 +220,7 @@ class PerformanceTable:
                 key = keys_seen[(problem, measure)] = MetricKey(problem, measure)
             if (agent, key) in cells:
                 raise InputError(
-                    f"duplicate stats row for agent {agent!r}, "
-                    f"problem {problem!r}, measure {key.measure.value!r}"
+                    f"duplicate stats row for cell {_cell_name(agent, problem, key.measure)}"
                 )
             cells[(agent, key)] = (mean, stddev, count)
         if not cells:
@@ -227,7 +231,7 @@ class PerformanceTable:
             (a, k) for a in agents for k in keys if (a, k) not in cells
         ]
         if missing:
-            shown = _first_eight([f"({a!s}, {k.problem}/{k.measure.value})" for a, k in missing])
+            shown = _first_eight([_cell_name(a, *k) for a, k in missing])
             raise CompletenessError(
                 f"incomplete table, {len(missing)} missing cell(s): {shown}", missing
             )
@@ -244,10 +248,9 @@ class PerformanceTable:
                 fault = f"cell {{}} has count {count}, above {_MAX_COUNT}"
             else:
                 if count == 1 or stddev < sigma_floor:
-                    label = f"({a}, {k.problem}) {k.measure.value}"
-                    (single if count == 1 else sub_floor).append(label)
+                    (single if count == 1 else sub_floor).append(_cell_name(a, *k))
                 continue
-            raise InputError(fault.format(f"({a}, {k.problem}/{k.measure.value})"))
+            raise InputError(fault.format(_cell_name(a, *k)))
         for labels, reason in (
             (single, "with a single playthrough; no sample stddev, so at least the floor"),
             (sub_floor, "with zero or sub-floor variance; stddev set to the floor"),
@@ -349,7 +352,7 @@ def aggregate(
                     rows.append((a, p, measure, *_gaussian_stat(values[(a, p)])))
                 except OverflowError:
                     raise InputError(
-                        f"({a}, {p}) {measure.value} values are too large to "
+                        f"{_cell_name(a, p, measure)} values are too large to "
                         "summarise in floating point"
                     ) from None
     return PerformanceTable.from_stats(rows, sigma_floor)
@@ -416,16 +419,16 @@ def read_stats_csv(stream: IO[str]) -> PerformanceTable:
 def read_stats_json(stream: IO[str]) -> PerformanceTable:
     try:
         doc = json.load(stream)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, too many digits, too deep
         raise InputError(f"bad stats JSON: {exc}")
     if not isinstance(doc, dict):
         raise InputError(f"bad stats JSON structure: top level is {type(doc).__name__}, not object")
     try:
-        floor = _json_number(doc.get("sigma_floor", SIGMA_FLOOR_DEFAULT), "sigma_floor")
+        floor = float(_json_number(doc.get("sigma_floor", SIGMA_FLOOR_DEFAULT), "sigma_floor"))
         rows = [_json_stats_row(c) for c in doc["cells"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad stats JSON structure: {exc!r}")
-    return PerformanceTable.from_stats(rows, float(floor))
+    return PerformanceTable.from_stats(rows, floor)
 
 
 def _json_number(value, name: str) -> int | float:

@@ -17,11 +17,9 @@ import numpy as np
 
 from .errors import InputError
 
-ARCHETYPE_KINDS = ("identical", "linear", "two_cluster", "delayed", "duplicate")
+ARCHETYPE_KINDS = ("identical", "linear", "two-cluster", "delayed")
 
-ARCHETYPE_CHOICES = ("identical", "linear", "two-cluster", "delayed", "mixed")
-
-_MIXED_CYCLE = ("linear", "two_cluster", "delayed")
+ARCHETYPE_CHOICES = (*ARCHETYPE_KINDS, "mixed")
 
 
 @dataclass(frozen=True)
@@ -31,17 +29,17 @@ class Archetype:
     identical    every agent shares the same score mean and win rate.
     linear       score means spread in equal steps of ``gap``; win rates
                  spread evenly across (0, 1).
-    two_cluster  agents split into a weak and a strong half.
+    two-cluster  agents split into a weak and a strong half.
     delayed      score means anti-ordered against win rates, like
                  problems that only pay out score at the very end.
-    duplicate    same distribution parameters as an earlier problem
-                 (``source`` is its index).
+
+    Two problems with equal archetypes are exact duplicates: they share
+    every distribution parameter.
     """
 
     kind: str
     gap: float = 10.0
     sigma: float = 1.0
-    source: int | None = None
 
     def __post_init__(self):
         if self.kind not in ARCHETYPE_KINDS:
@@ -50,8 +48,6 @@ class Archetype:
             raise InputError(f"gap must be positive, got {self.gap}")
         if not self.sigma > 0:
             raise InputError(f"sigma must be positive, got {self.sigma}")
-        if (self.kind == "duplicate") != (self.source is not None):
-            raise InputError("source must be given for duplicates and only for them")
 
 
 @dataclass(frozen=True)
@@ -70,12 +66,6 @@ class SynthSpec:
             raise InputError("need at least one problem archetype")
         if not self.samples_per_cell > 0:
             raise InputError("need at least one sample per cell")
-        for i, arch in enumerate(self.archetypes):
-            if arch.kind == "duplicate" and not 0 <= arch.source < i:
-                raise InputError(
-                    f"problem {i}: duplicate source {arch.source} must point to "
-                    "an earlier problem"
-                )
 
     @property
     def agent_names(self) -> tuple[str, ...]:
@@ -90,40 +80,33 @@ def archetypes(
     name: str, problems: int, gap: float = Archetype.gap, sigma: float = Archetype.sigma
 ) -> tuple[Archetype, ...]:
     """Archetypes of ``problems`` problems for a name in ``ARCHETYPE_CHOICES``:
-    all of one kind, or for ``mixed`` linear, two-cluster and delayed in
-    turn with every fourth problem a duplicate of the one three before."""
-    if name != "mixed":
-        return (Archetype(name.replace("-", "_"), gap=gap, sigma=sigma),) * problems
-    return tuple(
-        Archetype("duplicate", source=i - 3) if i % 4 == 3
-        else Archetype(_MIXED_CYCLE[i % 4], gap=gap, sigma=sigma)
-        for i in range(problems)
-    )
+    all of one kind, or for ``mixed`` linear, two-cluster, delayed and
+    linear in turn, so every fourth problem duplicates the one three
+    before."""
+    kinds = ("linear", "two-cluster", "delayed", "linear") if name == "mixed" else (name,)
+    cycle = [Archetype(kind, gap=gap, sigma=sigma) for kind in kinds]
+    return tuple(cycle[i % len(cycle)] for i in range(problems))
 
 
-def _archetype_params(spec: SynthSpec) -> list[tuple[np.ndarray, float, np.ndarray]]:
-    """Per problem: (score means, score sigma, win probabilities), per agent."""
-    n = spec.agents
-    params: list[tuple[np.ndarray, float, np.ndarray]] = []
-    for arch in spec.archetypes:
-        if arch.kind == "duplicate":
-            params.append(params[arch.source])
-            continue
-        if arch.kind == "identical":
-            mu = np.full(n, 10.0)
-            p = np.full(n, 0.5)
-        elif arch.kind == "linear":
-            mu = arch.gap * np.arange(n, dtype=float)
-            p = np.linspace(0.1, 0.9, n) if n > 1 else np.array([0.5])
-        elif arch.kind == "two_cluster":
-            half = (n + 1) // 2
-            mu = np.where(np.arange(n) < half, 0.0, arch.gap)
-            p = np.where(np.arange(n) < half, 0.2, 0.8)
-        else:  # delayed
-            mu = arch.gap * np.arange(n - 1, -1, -1, dtype=float)
-            p = np.linspace(0.1, 0.9, n) if n > 1 else np.array([0.5])
-        params.append((mu, arch.sigma, p))
-    return params
+# a mean that overflows is not an error here: generate names its cell
+@np.errstate(over="ignore", invalid="ignore")
+def _archetype_params(arch: Archetype, n: int) -> tuple[np.ndarray, float, np.ndarray]:
+    """(score means, score sigma, win probabilities) of one problem, per
+    agent, for ``n`` agents."""
+    if arch.kind == "identical":
+        mu = np.full(n, 10.0)
+        p = np.full(n, 0.5)
+    elif arch.kind == "linear":
+        mu = arch.gap * np.arange(n, dtype=float)
+        p = np.linspace(0.1, 0.9, n) if n > 1 else np.array([0.5])
+    elif arch.kind == "two-cluster":
+        half = (n + 1) // 2
+        mu = np.where(np.arange(n) < half, 0.0, arch.gap)
+        p = np.where(np.arange(n) < half, 0.2, 0.8)
+    else:  # delayed
+        mu = arch.gap * np.arange(n - 1, -1, -1, dtype=float)
+        p = np.linspace(0.1, 0.9, n) if n > 1 else np.array([0.5])
+    return mu, arch.sigma, p
 
 
 def generate(spec: SynthSpec) -> list[tuple[str, str, float, bool]]:
@@ -138,9 +121,8 @@ def generate(spec: SynthSpec) -> list[tuple[str, str, float, bool]]:
     rng = np.random.default_rng(spec.seed)
     records: list[tuple[str, str, float, bool]] = []
     m = spec.samples_per_cell
-    with np.errstate(over="ignore", invalid="ignore"):
-        params = _archetype_params(spec)
-    for problem, (mu, sigma, p) in zip(spec.problem_names, params):
+    for problem, arch in zip(spec.problem_names, spec.archetypes):
+        mu, sigma, p = _archetype_params(arch, spec.agents)
         for a_idx, agent in enumerate(spec.agent_names):
             wins = rng.random(m) < p[a_idx]
             scores = rng.normal(mu[a_idx], sigma, m)

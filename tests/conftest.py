@@ -52,7 +52,8 @@ def exact_table(spec, sigma_floor=SIGMA_FLOOR_DEFAULT):
     sampling noise.
     """
     rows = []
-    for problem, (mu, sigma, p) in zip(spec.problem_names, _archetype_params(spec)):
+    for problem, arch in zip(spec.problem_names, spec.archetypes):
+        mu, sigma, p = _archetype_params(arch, spec.agents)
         for a_idx, agent in enumerate(spec.agent_names):
             rows.append(
                 (agent, problem, "score", float(mu[a_idx]), float(sigma), spec.samples_per_cell)
@@ -91,6 +92,8 @@ def fixture_suite() -> list[tuple[str, PerformanceTable]]:
     regime where the combined-gain audit is expected to flag
     sharpening, and these fixtures are the baseline that must not.
     """
+    linear = Archetype("linear", gap=12.0)
+    two_cluster = Archetype("two-cluster", gap=15.0)
     specs = [
         (
             "identical-exact",
@@ -98,11 +101,11 @@ def fixture_suite() -> list[tuple[str, PerformanceTable]]:
         ),
         (
             "linear-strong",
-            SynthSpec(5, (Archetype("linear", gap=12.0),) * 4, seed=102),
+            SynthSpec(5, (linear,) * 4, seed=102),
         ),
         (
             "two-cluster",
-            SynthSpec(6, (Archetype("two_cluster", gap=15.0),) * 3, seed=103),
+            SynthSpec(6, (two_cluster,) * 3, seed=103),
         ),
         (
             "delayed",
@@ -110,16 +113,7 @@ def fixture_suite() -> list[tuple[str, PerformanceTable]]:
         ),
         (
             "mixed-with-duplicate",
-            SynthSpec(
-                5,
-                (
-                    Archetype("linear", gap=12.0),
-                    Archetype("duplicate", source=0),
-                    Archetype("two_cluster", gap=15.0),
-                    Archetype("delayed", gap=14.0),
-                ),
-                seed=105,
-            ),
+            SynthSpec(5, (linear, linear, two_cluster, Archetype("delayed", gap=14.0)), seed=105),
         ),
     ]
     tables = [(name, exact_table(spec)) for name, spec in specs]

@@ -4,11 +4,15 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import full_table, score_table
 import infobench
@@ -220,6 +224,24 @@ class TestExitCodes:
         [message] = [str(w.message) for w in caught]
         assert message.startswith("24 cell(s) with a single playthrough")
 
+    def test_a_warning_prints_as_one_line(self, tmp_path):
+        # pytest records warnings in-process, so only a child process
+        # shows what reaches stderr
+        data = tmp_path / "data"
+        default_format = warnings.formatwarning
+        run("synth", "--agents", 3, "--problems", 4, "--samples", 1, "--out", data)
+        assert warnings.formatwarning is default_format
+        env = dict(os.environ, PYTHONPATH=str(Path(infobench.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "infobench", "ingest",
+             "--input", str(data / "playthroughs.csv"), "--out", str(tmp_path / "run")],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        [line] = done.stderr.splitlines()
+        assert line.startswith("warning: 24 cell(s) with a single playthrough")
+        assert "perf.py:" not in line
+
     def test_zero_stddev_stats_file_is_floored_with_a_warning(self, tmp_path):
         stats = tmp_path / "stats.csv"
         stats.write_text("agent,problem,measure,mean,stddev,count\n"
@@ -246,6 +268,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, key, value", [
         ("select", "k", "0"),
         ("select", "eps-gain", "0"),
+        ("select", "eps-gain", "1e-309"),
+        ("select", "eps-gain", "5e-324"),
         ("correlate", "threshold", "0"),
         ("correlate", "threshold", "nan"),
         ("correlate", "threshold", "inf"),
@@ -347,6 +371,10 @@ class TestExitCodes:
         pytest.param(stats_json({"mean": "1.5"}), "mean must be a JSON number", id="string-mean"),
         pytest.param(stats_json({"count": "200"}), "count must be a JSON number",
                      id="string-count"),
+        pytest.param("[" * 100_000 + "]" * 100_000, "maximum recursion depth",
+                     id="nested-100000-deep"),
+        pytest.param(stats_json({"mean": "N"}).replace('"N"', "1" * 5000),
+                     "Exceeds the limit (4300 digits)", id="mean-beyond-digit-limit"),
     ])
     def test_malformed_stats_json_exits_2(self, tmp_path, capsys, document, message):
         stats = tmp_path / "stats.json"
@@ -356,7 +384,7 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("floor", [-1, 0, math.nan, True])
+    @pytest.mark.parametrize("floor", [-1, 0, math.nan, True, pytest.param(10**400, id="10**400")])
     def test_bad_sigma_floor_in_stats_json_exits_2(self, tmp_path, capsys, floor):
         table = full_table({"g": {"win": ((0.2, 0.5, 0.9), (0.0,) * 3),
                                   "score": ((1.0, 2.0, 3.0), (0.0,) * 3)}})
@@ -367,8 +395,10 @@ class TestExitCodes:
         stats.write_text(json.dumps(doc))
         out = tmp_path / "out"
         assert run("info-gain", "--stats", stats, "--out", out) == 2
-        fault = "a JSON number" if floor is True else "positive"
-        assert f"sigma_floor must be {fault}" in capsys.readouterr().err
+        fault = ("sigma_floor must be a JSON number" if floor is True
+                 else "int too large to convert to float" if floor == 10**400
+                 else "sigma_floor must be positive")
+        assert fault in capsys.readouterr().err
         assert not out.exists()
 
     def test_byte_order_mark_header_is_accepted(self, tmp_path):
@@ -465,6 +495,41 @@ class TestExitCodes:
         assert run("select", "--stats", stats, "--k", 1, "--out", out) == 2
         assert "no cell for problem 'g' measure 'win'" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def fuzz_corpus(tmp_path_factory):
+    """Playthroughs and stats for the flag fuzz test, built once."""
+    data = tmp_path_factory.mktemp("fuzz")
+    assert run("synth", "--agents", 3, "--problems", 4, "--samples", 2,
+               "--seed", 5, "--out", data) == 0
+    assert run("ingest", "--input", data / "playthroughs.csv", "--out", data) == 0
+    return data
+
+
+@pytest.mark.parametrize("flag", ["eps-gain", "threshold", "sigma-floor", "gap", "sigma"])
+@settings(max_examples=15, deadline=None)
+@given(value=st.floats())
+@example(value=5e-324)  # the smallest subnormal
+@example(value=1e-309)
+@example(value=2.2250738585072014e-308)  # the smallest normal
+@example(value=1e308)
+@example(value=math.inf)
+@example(value=-math.inf)
+@example(value=math.nan)
+@example(value=0.0)
+@example(value=-0.0)
+def test_float_flags_exit_with_a_code_and_no_traceback(fuzz_corpus, flag, value):
+    command = {
+        "eps-gain": ("select", "--stats", fuzz_corpus / "stats.csv"),
+        "threshold": ("correlate", "--stats", fuzz_corpus / "stats.csv"),
+        "sigma-floor": ("ingest", "--input", fuzz_corpus / "playthroughs.csv"),
+        "gap": ("synth", "--agents", 3, "--problems", 4, "--samples", 2),
+        "sigma": ("synth", "--agents", 3, "--problems", 4, "--samples", 2),
+    }[flag]
+    with tempfile.TemporaryDirectory() as out:
+        # --flag=value, so argparse reads "-inf" as a value, not an option
+        assert run(*command, f"--{flag}={value!r}", "--out", out) in (0, 1, 2)
 
 
 class TestConfigFile:
@@ -622,6 +687,25 @@ class TestHeatmap:
         lines = [el for el in root.iter("{http://www.w3.org/2000/svg}line")
                  if el.get("stroke") == "black"]
         assert len(lines) == 2 * n_boundaries
+
+    def test_problem_names_are_escaped(self, tmp_path):
+        name = "a&b<c>\"d'e"
+        up = (1.0, 2.0, 3.0, 4.0)
+        table = full_table({
+            p: {"win": (values, (0.4,) * 4), "score": unit_noise(values)}
+            for p, values in ((name, up), ("down", up[::-1]), ("tilt", (1.0, 3.0, 2.0, 4.0)))
+        })
+        stats = tmp_path / "stats.csv"
+        with open(stats, "w", newline="") as f:
+            write_stats_csv(table, f)
+        assert run("correlate", "--stats", stats, "--out", tmp_path, "--format", "svg") == 0
+        svg = (tmp_path / "heatmap_score.svg").read_text()
+        escaped = "a&amp;b&lt;c&gt;\"d'e"
+        assert f"<title>{escaped} / {escaped}: " in svg
+        assert svg.count(f">{escaped}</text>") == 2
+        root = ET.fromstring(svg)
+        texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts.count(name) == 2
 
     def test_cluster_assignment_csv(self, heatmap_run):
         with open(heatmap_run / "clusters_score.csv") as f:

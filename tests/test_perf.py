@@ -272,7 +272,8 @@ class TestPerformanceTable:
     def test_from_stats_rejects_incomplete(self):
         rows = [("a1", "g", "score", 0.0, 1.0, 3), ("a2", "h", "score", 0.0, 1.0, 3)]
         with pytest.raises(
-            CompletenessError, match=r"^incomplete table, 2 missing cell\(s\): \(a1, h/score\), "
+            CompletenessError,
+            match=r"^incomplete table, 2 missing cell\(s\): \(a1, h\) score, \(a2, g\) score$",
         ) as exc:
             PerformanceTable.from_stats(rows)
         assert list(exc.value.missing) == [
@@ -281,11 +282,11 @@ class TestPerformanceTable:
 
     def test_from_stats_rejects_bad_stats(self):
         for row, message in [
-            (("a", "g", "score", math.nan, 1.0, 3), "non-finite stat for cell (a, g/score)"),
-            (("a", "g", "score", 0.0, 1.0, 0), "cell (a, g/score) has count 0 < 1"),
-            (("a", "g", "score", 0.0, -1.0, 3), "negative stddev for cell (a, g/score)"),
+            (("a", "g", "score", math.nan, 1.0, 3), "non-finite stat for cell (a, g) score"),
+            (("a", "g", "score", 0.0, 1.0, 0), "cell (a, g) score has count 0 < 1"),
+            (("a", "g", "score", 0.0, -1.0, 3), "negative stddev for cell (a, g) score"),
             (("a", "g", "score", 0.0, 1.0, 2**63),
-             "cell (a, g/score) has count 9223372036854775808, above 9223372036854775807"),
+             "cell (a, g) score has count 9223372036854775808, above 9223372036854775807"),
         ]:
             with pytest.raises(InputError) as exc:
                 PerformanceTable.from_stats([row])
@@ -295,7 +296,7 @@ class TestPerformanceTable:
         row = ("a", "g", "win", 0.5, 0.1, 3)
         with pytest.raises(InputError) as exc:
             PerformanceTable.from_stats([row, ("a", "g", "score", 1.0, 1.0, 3), row])
-        assert str(exc.value) == "duplicate stats row for agent 'a', problem 'g', measure 'win'"
+        assert str(exc.value) == "duplicate stats row for cell (a, g) win"
 
     @pytest.mark.parametrize("floor", [0.0, -1.0, math.nan, math.inf])
     def test_from_stats_rejects_a_bad_sigma_floor(self, floor):

@@ -21,14 +21,14 @@ class TestArchetypes:
     def test_mixed_cycles_kinds_and_duplicates_every_fourth(self):
         kinds = archetypes("mixed", 9, gap=3.0, sigma=2.0)
         assert [a.kind for a in kinds] == [
-            "linear", "two_cluster", "delayed", "duplicate",
-            "linear", "two_cluster", "delayed", "duplicate", "linear",
+            "linear", "two-cluster", "delayed", "linear",
+            "linear", "two-cluster", "delayed", "linear", "linear",
         ]
-        assert [a.source for a in kinds if a.kind == "duplicate"] == [0, 4]
-        assert {(a.gap, a.sigma) for a in kinds if a.kind != "duplicate"} == {(3.0, 2.0)}
+        assert {(a.gap, a.sigma) for a in kinds} == {(3.0, 2.0)}
+        assert all(kinds[i] == kinds[i - 3] for i in (3, 7))
 
     def test_a_hyphenated_name_is_one_kind_throughout(self):
-        assert archetypes("two-cluster", 2) == (Archetype("two_cluster"),) * 2
+        assert archetypes("two-cluster", 2) == (Archetype("two-cluster"),) * 2
 
     def test_unknown_name_is_an_input_error(self):
         with pytest.raises(InputError, match="unknown archetype"):
@@ -36,21 +36,10 @@ class TestArchetypes:
 
 
 class TestSpecValidation:
-    def test_duplicate_must_point_backwards(self):
-        with pytest.raises(ValueError, match="earlier"):
-            SynthSpec(3, (Archetype("duplicate", source=0),))
-        with pytest.raises(ValueError, match="earlier"):
-            SynthSpec(3, (Archetype("identical"), Archetype("duplicate", source=1)))
-
-    def test_source_only_for_duplicates(self):
-        with pytest.raises(ValueError, match="source"):
-            Archetype("linear", source=0)
-        with pytest.raises(ValueError, match="source"):
-            Archetype("duplicate")
-
     def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="archetype"):
-            Archetype("zigzag")
+        for kind in ("zigzag", "duplicate", "two_cluster", "mixed"):
+            with pytest.raises(ValueError, match="archetype"):
+                Archetype(kind)
 
     @pytest.mark.parametrize("field", ["gap", "sigma"])
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
@@ -101,26 +90,16 @@ class TestGenerate:
         assert gain <= math.log2(n) + 1e-9
 
     def test_duplicate_archetype_matches_its_source_exactly(self):
-        spec = SynthSpec(
-            4,
-            (Archetype("two_cluster", gap=15.0), Archetype("duplicate", source=0)),
-            seed=3,
-        )
+        twin = Archetype("two-cluster", gap=15.0)
+        spec = SynthSpec(4, (twin, twin), seed=3)
         table = exact_table(spec)
         a, _ = table.column(MetricKey("prob00", Measure.SCORE))
         b, _ = table.column(MetricKey("prob01", Measure.SCORE))
         assert np.array_equal(a, b)
 
     def test_greedy_never_selects_the_twin(self):
-        spec = SynthSpec(
-            4,
-            (
-                Archetype("two_cluster", gap=15.0),
-                Archetype("duplicate", source=0),
-                Archetype("delayed", gap=14.0),
-            ),
-            seed=3,
-        )
+        twin = Archetype("two-cluster", gap=15.0)
+        spec = SynthSpec(4, (twin, twin, Archetype("delayed", gap=14.0)), seed=3)
         table = exact_table(spec)
         report = greedy_select(table, 2)
         assert "prob01" not in report.selected
@@ -129,7 +108,7 @@ class TestGenerate:
         assert set(best) != {"prob00", "prob01"}
 
     def test_exact_table_win_stddev_is_bernoulli(self):
-        spec = SynthSpec(4, (Archetype("two_cluster", gap=15.0),), seed=0)
+        spec = SynthSpec(4, (Archetype("two-cluster", gap=15.0),), seed=0)
         table = exact_table(spec)
         mu, sd = table.column(MetricKey("prob00", Measure.WIN_RATE))
         assert np.allclose(sd, np.sqrt(mu * (1 - mu)))
