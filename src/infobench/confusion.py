@@ -11,6 +11,7 @@ normalized per row with a softmax, so large key sets cannot underflow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -58,8 +59,7 @@ def log_weight_term(table: PerformanceTable, key: MetricKey, noise: str) -> np.n
 
     Squared noise scales or mean gaps above ~1e154 overflow, and squared
     scales below ~1e-162 underflow to 0; the inf/NaN weights that follow
-    are rejected by ``confusion_from_log_weights``, never read as a
-    probability.
+    are rejected before any softmax, never read as a probability.
     """
     mu, sd = table.column(key)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -69,38 +69,44 @@ def log_weight_term(table: PerformanceTable, key: MetricKey, noise: str) -> np.n
         return -(diff * diff) / var2 - 0.5 * np.log(np.pi * var2)
 
 
-def add_log_weights(total: np.ndarray, terms) -> np.ndarray:
-    """``total`` plus each term, in order; a sum that overflows stays
-    non-finite for the same check as an overflowing term."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        for term in terms:
-            total = total + term
-    return total
-
-
 def log_weight_matrix(
     table: PerformanceTable, keys: Sequence[MetricKey], noise: str = DEFAULT_NOISE
 ) -> np.ndarray:
-    """Unnormalized log belief weights, entry (i, j) for observed i, candidate j."""
+    """Unnormalized log belief weights, entry (i, j) for observed i, candidate j.
+
+    The terms are added in key order; a sum that overflows stays
+    non-finite for the same check as an overflowing term.
+    """
     keys = validate_metric_keys(table, keys)
     n = len(table.agents)
-    return add_log_weights(np.zeros((n, n)), (log_weight_term(table, k, noise) for k in keys))
+    total = np.zeros((n, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for key in keys:
+            total += log_weight_term(table, key, noise)
+    return total
 
 
-def log_weight_terms(
-    table: PerformanceTable, keys: Sequence[MetricKey], noise: str
-) -> dict[MetricKey, np.ndarray]:
-    """Each key's log weights on its own, computed once per key.
+def log_weight_stack(
+    table: PerformanceTable, bundles: Sequence[Sequence[MetricKey]], noise: str
+) -> np.ndarray:
+    """Each key's log weights on its own, in one array: entry ``[w, b]`` is
+    the ``w``-th key of bundle ``b``.  Every bundle has the same width.
 
-    Added to zeros in key order they give ``log_weight_matrix(table, keys)``
-    bit for bit, so a caller that scores many key sets sharing keys can
-    sum these instead of recomputing every term.  Each is
+    Added in order to a running sum they give ``log_weight_matrix`` over
+    the keys bit for bit, so a caller that scores many key sets sharing
+    keys can sum these instead of recomputing every term.  Each is
     ``log_weight_matrix`` over the one key, so the term counts of
     perfbench's tracer include them.
     """
-    _require_two_agents(table)
-    keys = validate_metric_keys(table, keys)
-    return {key: log_weight_matrix(table, (key,), noise) for key in keys}
+    width = len(bundles[0])
+    if any(len(bundle) != width for bundle in bundles):
+        raise ValueError("every bundle must have the same number of keys")
+    n = len(table.agents)
+    stack = np.empty((width, len(bundles), n, n))
+    for b, bundle in enumerate(bundles):
+        for w, key in enumerate(bundle):
+            stack[w, b] = log_weight_matrix(table, (key,), noise)
+    return stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,34 +143,52 @@ def check_row_stochastic(probs: np.ndarray) -> None:
 
 
 def softmax_rows(log_weights: np.ndarray) -> np.ndarray:
+    """Normalize log weights along the last axis into probabilities, in
+    place; returns the same array."""
     # max subtraction keeps the largest exponent at 0, so arbitrarily
     # negative log weights underflow to 0 instead of poisoning the row
-    shifted = log_weights - log_weights.max(axis=1, keepdims=True)
-    weights = np.exp(shifted)
-    return weights / weights.sum(axis=1, keepdims=True)
+    log_weights -= log_weights.max(axis=-1, keepdims=True)
+    np.exp(log_weights, out=log_weights)
+    log_weights /= log_weights.sum(axis=-1, keepdims=True)
+    return log_weights
 
 
-def _require_two_agents(table: PerformanceTable) -> None:
-    if len(table.agents) < 2:
+def row_entropies_bits(probs: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits along the last axis.  Where p = 0 the term
+    is p * log2(1) = 0, the 0 * log(0) = 0 convention."""
+    terms = np.where(probs > 0, probs, 1.0)
+    np.log2(terms, out=terms)
+    terms *= probs
+    return -terms.sum(axis=-1)
+
+
+def _beliefs(log_weights: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of log belief weights, in place, refusing fewer
+    than two agents and inf/NaN weights rather than turning them into
+    probabilities."""
+    if log_weights.shape[-1] < 2:
         raise DomainError("discrimination undefined for fewer than two algorithms")
-
-
-def confusion_from_log_weights(
-    agents: tuple[str, ...], log_weights: np.ndarray
-) -> ConfusionMatrix:
-    """Normalize summed log weights into a confusion matrix, refusing
-    inf/NaN weights rather than turning them into probabilities."""
     if not np.isfinite(log_weights).all():
         raise DomainError(
             "belief weights are not finite: means or noise scales are too large "
             "or too small to square in floating point"
         )
-    return ConfusionMatrix(agents, softmax_rows(log_weights))
+    return softmax_rows(log_weights)
+
+
+def gain_bits(log_weights: np.ndarray) -> np.ndarray:
+    """Information gain in bits of each ``n x n`` slice of log belief
+    weights of shape ``(..., n, n)``: ``log2(n)`` minus the mean row
+    entropy of the beliefs.
+
+    Works in place: ``log_weights`` is left holding the probabilities.
+    """
+    entropies = row_entropies_bits(_beliefs(log_weights))
+    return math.log2(log_weights.shape[-1]) - entropies.mean(axis=-1)
 
 
 def confusion(
     table: PerformanceTable, keys: Sequence[MetricKey], noise: str = DEFAULT_NOISE
 ) -> ConfusionMatrix:
     """Confusion matrix over the table's agents for the given key set."""
-    _require_two_agents(table)
-    return confusion_from_log_weights(table.agents, log_weight_matrix(table, keys, noise))
+    return ConfusionMatrix(table.agents, _beliefs(log_weight_matrix(table, keys, noise)))

@@ -20,11 +20,12 @@ import numpy as np
 from .confusion import (
     DEFAULT_NOISE,
     ConfusionMatrix,
-    add_log_weights,
     check_row_stochastic,
-    confusion,
-    confusion_from_log_weights,
-    log_weight_terms,
+    confusion,  # noqa: F401  (unused here; perfbench/tracing.py wraps infogain.confusion)
+    gain_bits,
+    log_weight_matrix,
+    log_weight_stack,
+    row_entropies_bits,
 )
 from .errors import InputError
 from .perf import Measure, MetricKey, PerformanceTable
@@ -35,12 +36,10 @@ SELECTION_MODES = ("win", "score", "combined")
 
 DEFAULT_MODE = "combined"
 
-
-def row_entropies_bits(probs: np.ndarray) -> np.ndarray:
-    """Shannon entropy of each row in bits, with the 0*log(0) = 0 convention."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(probs > 0, probs * np.log2(np.where(probs > 0, probs, 1.0)), 0.0)
-    return -terms.sum(axis=1)
+# greedy scores its candidates in chunks of at most this many log weights
+# (256 KiB of float64), or of one candidate when its n x n is larger, so
+# each chunk's passes stay in cache
+CHUNK_ELEMENTS = 2**15
 
 
 def mutual_information(matrix: ConfusionMatrix | np.ndarray) -> float:
@@ -62,11 +61,7 @@ def info_gain_set(
     table: PerformanceTable, keys: Sequence[MetricKey], noise: str = DEFAULT_NOISE
 ) -> float:
     """Information gain in bits of observing all metric keys in the set."""
-    return mutual_information(confusion(table, keys, noise))
-
-
-def _gain_of_log_weights(table: PerformanceTable, log_weights: np.ndarray) -> float:
-    return mutual_information(confusion_from_log_weights(table.agents, log_weights))
+    return float(gain_bits(log_weight_matrix(table, keys, noise)))
 
 
 def metric_keys_for(problem: str, mode: str) -> tuple[MetricKey, ...]:
@@ -92,11 +87,12 @@ def problem_gains(
     two terms in the order ``info_gain_set`` would, so all three gains
     equal its results bit for bit.
     """
-    win, score = log_weight_terms(table, metric_keys_for(problem, "combined"), noise).values()
+    win, score = log_weight_stack(table, [metric_keys_for(problem, "combined")], noise)[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        combined = win + score  # before gain_bits overwrites win and score
     return {
-        "win": _gain_of_log_weights(table, win),
-        "score": _gain_of_log_weights(table, score),
-        "combined": _gain_of_log_weights(table, add_log_weights(win, [score])),
+        mode: float(gain_bits(log_weights))
+        for mode, log_weights in zip(SELECTION_MODES, (win, score, combined))
     }
 
 
@@ -164,6 +160,15 @@ def _candidate_units(
     return units
 
 
+def _chunk_gains(selected: np.ndarray, stack: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Gain in bits of the selected set's log weights plus each candidate
+    ``ids`` picks from ``log_weight_stack``, its terms added in key order."""
+    log_weights = selected + stack[0, ids]
+    for terms in stack[1:]:
+        log_weights += terms[ids]
+    return gain_bits(log_weights)
+
+
 def greedy_select(
     table: PerformanceTable,
     k: int,
@@ -201,34 +206,40 @@ def greedy_select(
     # each key's term is computed once; a candidate's log weights are the
     # selected set's running sum plus its own terms, added in the order
     # info_gain_set(selected + candidate) would, so gains are bit-identical
-    terms = log_weight_terms(table, [key for c in remaining for key in units[c]], noise)
-    unit_terms = {c: [terms[key] for key in units[c]] for c in remaining}
+    stack = log_weight_stack(table, [units[c] for c in remaining], noise)
+    column = {c: i for i, c in enumerate(remaining)}
+    per_chunk = max(1, CHUNK_ELEMENTS // (n * n))
     selected_log_weights = np.zeros((n, n))
     steps: list[SelectionStep] = []
     negatives: list[NegativeMarginal] = []
     cumulative = 0.0
     stop_reason = None
 
-    for step in range(1, k + 1):
-        totals = {
-            c: _gain_of_log_weights(table, add_log_weights(selected_log_weights, unit_terms[c]))
-            for c in remaining
-        }
-        gains = {c: totals[c] - cumulative for c in remaining}
-        for c in sorted(gains):
-            if gains[c] < -eps_gain:
-                negatives.append(NegativeMarginal(step, c, gains[c]))
-        best = _argmax_candidate(gains, eps_gain)
-        if gains[best] <= eps_gain:
-            stop_reason = (
-                f"stopped at step {step}: no remaining candidate adds more than "
-                f"{eps_gain:g} bits (best was {best!r} at {gains[best]:.3g} bits)"
-            )
-            break
-        selected_log_weights = add_log_weights(selected_log_weights, unit_terms[best])
-        steps.append(SelectionStep(best, totals[best] - cumulative, totals[best]))
-        cumulative = totals[best]
-        remaining.remove(best)
+    # a sum that overflows stays non-finite, and gain_bits rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, k + 1):
+            ids = np.array([column[c] for c in remaining])
+            bits = np.concatenate([
+                _chunk_gains(selected_log_weights, stack, ids[start:start + per_chunk])
+                for start in range(0, len(ids), per_chunk)
+            ])
+            totals = dict(zip(remaining, bits.tolist()))
+            gains = {c: totals[c] - cumulative for c in remaining}
+            for c in sorted(gains):
+                if gains[c] < -eps_gain:
+                    negatives.append(NegativeMarginal(step, c, gains[c]))
+            best = _argmax_candidate(gains, eps_gain)
+            if gains[best] <= eps_gain:
+                stop_reason = (
+                    f"stopped at step {step}: no remaining candidate adds more than "
+                    f"{eps_gain:g} bits (best was {best!r} at {gains[best]:.3g} bits)"
+                )
+                break
+            for term in stack[:, column[best]]:
+                selected_log_weights += term
+            steps.append(SelectionStep(best, totals[best] - cumulative, totals[best]))
+            cumulative = totals[best]
+            remaining.remove(best)
 
     return SelectionReport(
         mode="per-key" if per_key else mode,

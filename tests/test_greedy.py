@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import full_table, score_table
+from infobench import infogain
 from infobench.errors import DomainError, InputError
 from infobench.infogain import (
     _argmax_candidate,
@@ -22,17 +23,19 @@ from reference_oracle import oracle_best_subset, oracle_greedy_select, oracle_in
 confusion_module = sys.modules["infobench.confusion"]
 
 
-def random_table(n_agents, n_problems, seed):
+def random_problems(n_agents, n_problems, seed):
     rng = np.random.default_rng(seed)
-    return full_table(
-        {
-            f"p{j:02d}": {
-                "win": (rng.uniform(0.1, 0.9, n_agents), rng.uniform(0.2, 0.5, n_agents)),
-                "score": (rng.uniform(-5, 5, n_agents), rng.uniform(0.5, 3.0, n_agents)),
-            }
-            for j in range(n_problems)
+    return {
+        f"p{j:02d}": {
+            "win": (rng.uniform(0.1, 0.9, n_agents), rng.uniform(0.2, 0.5, n_agents)),
+            "score": (rng.uniform(-5, 5, n_agents), rng.uniform(0.5, 3.0, n_agents)),
         }
-    )
+        for j in range(n_problems)
+    }
+
+
+def random_table(n_agents, n_problems, seed):
+    return full_table(random_problems(n_agents, n_problems, seed))
 
 
 def abc_table():
@@ -238,6 +241,36 @@ class TestGreedySelect:
         assert neg.problem == "blur"
         assert neg.step == 2
         assert neg.marginal_bits < -1e-3
+
+
+class TestChunkedScoring:
+    # 30 agents: the default chunk holds 36 candidates, so 40 problems span
+    # two chunks and 80 per-key cells three
+    N_AGENTS, N_PROBLEMS = 30, 40
+
+    @pytest.mark.parametrize("per_key", [False, True])
+    @pytest.mark.parametrize("mode", ["win", "score", "combined"])
+    def test_chunk_size_does_not_change_the_report(self, monkeypatch, mode, per_key):
+        table = random_table(self.N_AGENTS, self.N_PROBLEMS, seed=11)
+        default = greedy_select(table, 6, mode, per_key=per_key)
+        assert len(default.steps) == 6
+        one_per_chunk = 1
+        all_in_one = self.N_AGENTS**2 * 2 * self.N_PROBLEMS
+        for elements in (one_per_chunk, all_in_one):
+            monkeypatch.setattr(infogain, "CHUNK_ELEMENTS", elements)
+            assert greedy_select(table, 6, mode, per_key=per_key) == default
+
+    def test_non_finite_weight_in_a_later_chunk_is_a_domain_error(self, monkeypatch):
+        problems = random_problems(self.N_AGENTS, self.N_PROBLEMS, seed=11)
+        # sorted last, so with one candidate per chunk it is scored in the last chunk
+        problems["zz_overflow"] = {
+            "win": problems["p00"]["win"],
+            "score": (problems["p00"]["score"][0], np.full(self.N_AGENTS, 1e200)),
+        }
+        table = full_table(problems)
+        monkeypatch.setattr(infogain, "CHUNK_ELEMENTS", 1)
+        with pytest.raises(DomainError, match="not finite"):
+            greedy_select(table, 3)
 
 
 class TestGreedyOracleAgreement:
