@@ -10,7 +10,6 @@ block, when present).
 
 from __future__ import annotations
 
-import math
 from html import escape
 
 import numpy as np
@@ -24,14 +23,26 @@ FONT = 9
 GREY = (128, 128, 128)
 
 
-def color_for(r: float) -> tuple[int, int, int]:
-    """Diverging map: r=+1 -> blue, 0 -> white, -1 -> red."""
-    t = max(-1.0, min(1.0, r))
-    if t >= 0:
-        c = round(255 * (1.0 - t))
-        return (c, c, 255)
-    c = round(255 * (1.0 + t))
-    return (255, c, c)
+# fill for each color code: 0-255 blue rgb(c,c,255), 256-511 red
+# rgb(255,c,c), 512 grey
+_FILLS = (
+    *(f"rgb({c},{c},255)" for c in range(256)),
+    *(f"rgb(255,{c},{c})" for c in range(256)),
+    "rgb(%d,%d,%d)" % GREY,
+)
+_UNDEFINED = len(_FILLS) - 1
+
+
+def _fill_codes(grid: np.ndarray) -> np.ndarray:
+    """Diverging map as codes into ``_FILLS``: r=+1 -> blue, 0 -> white,
+    -1 -> red, NaN -> grey.  ``np.rint`` rounds half to even, as ``round``
+    does, so the two varying channels are ``round(255 * (1 - |t|))``."""
+    undefined = np.isnan(grid)
+    t = np.clip(np.where(undefined, 0.0, grid), -1.0, 1.0)
+    codes = np.where(t >= 0, np.rint(255 * (1.0 - t)), 256 + np.rint(255 * (1.0 + t)))
+    codes = codes.astype(np.intp)
+    codes[undefined] = _UNDEFINED
+    return codes
 
 
 def render_heatmap(
@@ -56,24 +67,24 @@ def render_heatmap(
             f"{escape(title, quote=False)}</text>"
         )
 
-    idx = [corr.problems.index(p) for p in order]
+    position = {p: i for i, p in enumerate(corr.problems)}
+    idx = [position[p] for p in order]
     names = [escape(p, quote=False) for p in order]
-    grid = corr.values[np.ix_(idx, idx)].tolist()
-    for row, (name_row, values) in enumerate(zip(names, grid)):
-        y = y0 + row * CELL
-        for col, (name_col, v) in enumerate(zip(names, values)):
-            x = x0 + col * CELL
-            if math.isnan(v):
-                fill = "rgb(%d,%d,%d)" % GREY
-                label = "undefined"
-            else:
-                fill = "rgb(%d,%d,%d)" % color_for(v)
-                label = f"{v:+.4f}"
-            parts.append(
-                f'<rect class="cell" x="{x}" y="{y}" width="{CELL}" height="{CELL}" '
-                f'fill="{fill}"><title>{name_row} / {name_col}: {label}'
-                "</title></rect>"
-            )
+    grid = corr.values[np.ix_(idx, idx)]
+    columns = [
+        (f'<rect class="cell" x="{x0 + col * CELL}"', f" / {name}: ")
+        for col, name in enumerate(names)
+    ]
+    for row, (name_row, values, codes) in enumerate(
+        zip(names, grid.tolist(), _fill_codes(grid).tolist())
+    ):
+        y_part = f' y="{y0 + row * CELL}" width="{CELL}" height="{CELL}" fill="'
+        title = f'"><title>{name_row}'
+        parts.extend(
+            f"{x_part}{y_part}{_FILLS[code]}{title}{name_part}"
+            f'{"undefined" if v != v else f"{v:+.4f}"}</title></rect>'
+            for (x_part, name_part), v, code in zip(columns, values, codes)
+        )
 
     for row, p in enumerate(names):
         y = y0 + row * CELL + CELL - 4
@@ -107,6 +118,6 @@ def render_heatmap(
             f'y2="{y0 + offset}" stroke="black" stroke-width="1.5"/>'
         )
 
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")
+    return "\n".join(parts)
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -37,6 +38,11 @@ from .errors import CompletenessError, InputError, ParseError
 SIGMA_FLOOR_DEFAULT = 1e-9
 
 _MAX_COUNT = np.iinfo(np.int64).max
+
+# the characters outside XML 1.0's Char production: C0 controls but tab,
+# newline and carriage return, surrogates, U+FFFE and U+FFFF.  No escape
+# can put one into a heatmap, so no agent or problem name may hold one.
+_XML_FORBIDDEN = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 _WIN_TOKENS = {
     "1": True,
@@ -205,10 +211,11 @@ class PerformanceTable:
         rows, the rows of a stats file, in any order.
 
         Every agent appearing anywhere must have exactly one row for
-        every key appearing anywhere.  Standard deviations are floored at
-        ``sigma_floor`` here, with one counted warning for the cells of a
-        single playthrough and one for the cells of two or more whose
-        stddev is below the floor.
+        every key appearing anywhere, and no agent or problem name may
+        hold a character XML 1.0 forbids, since heatmaps carry the names.
+        Standard deviations are floored at ``sigma_floor`` here, with one
+        counted warning for the cells of a single playthrough and one for
+        the cells of two or more whose stddev is below the floor.
         """
         if not (sigma_floor > 0 and math.isfinite(sigma_floor)):
             raise InputError(f"sigma_floor must be positive and finite, got {sigma_floor}")
@@ -227,6 +234,14 @@ class PerformanceTable:
             raise InputError("no cells given")
         agents = tuple(sorted({a for a, _ in cells}))
         keys = tuple(sorted({k for _, k in cells}))
+        if _XML_FORBIDDEN.search("".join(agents) + "".join(k.problem for k in keys)):
+            for a, k in cells:
+                bad = _XML_FORBIDDEN.search(a + k.problem)
+                if bad:
+                    raise InputError(
+                        f"cell {_cell_name(a, *k)!r} has a name holding "
+                        f"U+{ord(bad.group()):04X}, a character XML 1.0 forbids"
+                    )
         missing = [
             (a, k) for a in agents for k in keys if (a, k) not in cells
         ]

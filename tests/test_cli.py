@@ -486,6 +486,53 @@ class TestExitCodes:
         assert "error: no cells given" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["stats.csv", "stats.json", "playthroughs.csv"])
+    @pytest.mark.parametrize(
+        "agent, problem, cell, code",
+        [("a0", "p\x01x", r"(a0, p\x01x)", "0001"), ("a\uffff", "p", r"(a\uffff, p)", "FFFF")],
+        ids=["problem", "agent"],
+    )
+    def test_name_xml_cannot_hold_exits_2_without_output(
+        self, tmp_path, capsys, kind, agent, problem, cell, code
+    ):
+        agents = [agent, "a1", "a2", "a3"]
+        problems = [problem, "q"]
+        if kind == "playthroughs.csv":
+            rows = [f"{a},{p},{i + j},{(i + j) % 2}" for i, a in enumerate(agents)
+                    for j, p in enumerate(problems) for _ in range(2)]
+            command = ("ingest", "--input")
+            text = "agent,problem,score,win\n" + "\n".join(rows) + "\n"
+        else:
+            cells = [(a, p, m, (i * j) % 3 / 4, 0.1, 4) for i, a in enumerate(agents)
+                     for j, p in enumerate(problems) for m in ("win", "score")]
+            command = ("correlate", "--stats")
+            if kind == "stats.csv":
+                text = "agent,problem,measure,mean,stddev,count\n" + "".join(
+                    ",".join(map(str, c)) + "\n" for c in cells
+                )
+            else:
+                keys = ("agent", "problem", "measure", "mean", "stddev", "count")
+                text = json.dumps({"cells": [dict(zip(keys, c)) for c in cells]})
+        path = tmp_path / kind
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(*command, path, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"error: cell '{cell} " in err
+        assert f"has a name holding U+{code}, a character XML 1.0 forbids" in err
+        assert not out.exists()
+
+    def test_lone_surrogate_in_a_stats_json_name_exits_2_without_output(self, tmp_path, capsys):
+        # JSON can spell a lone surrogate, which no UTF-8 output can hold
+        stats = tmp_path / "stats.json"
+        stats.write_text(stats_json({"problem": "g\ud800"}))
+        out = tmp_path / "out"
+        assert run("correlate", "--stats", stats, "--out", out) == 2
+        assert r"error: cell '(a, g\ud800) win' has a name holding U+D800" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
     def test_missing_measure_exits_2_without_output(self, tmp_path, capsys):
         table = score_table({"g": ((0.0, 1.0, 2.0), (1.0, 1.0, 1.0))})
         stats = tmp_path / "stats.csv"
@@ -530,6 +577,56 @@ def test_float_flags_exit_with_a_code_and_no_traceback(fuzz_corpus, flag, value)
     with tempfile.TemporaryDirectory() as out:
         # --flag=value, so argparse reads "-inf" as a value, not an option
         assert run(*command, f"--{flag}={value!r}", "--out", out) in (0, 1, 2)
+
+
+FUZZ_NAMES = st.sampled_from(["a", "b", "c", "x,y", 'q"u', "<&>", "é", " pad ", "p\x01x", "\t"])
+FUZZ_FINITE = st.sampled_from(["0", "0.25", "0.5", "-1", "3", "7", "1e308", "-1e308", "1e-308"])
+FUZZ_ODD = st.sampled_from(["inf", "-inf", "nan", "-0.1"])
+# the repro of a control character in a problem name, which once gave a
+# heatmap that is not XML and still exited 0
+CONTROL_CHARACTER_ROWS = [
+    [f"a{i}", p, m, str((i * j) % 3 / 4), "0.1", "4"]
+    for i in range(4) for j, p in enumerate(["p\x01x", "q", "r"]) for m in ("win", "score")
+]
+
+
+@st.composite
+def stats_rows(draw):
+    """A complete stats table over odd names and finite numbers up to
+    1e±308; about half get one non-finite or negative stat, or a row
+    dropped or repeated."""
+    agents = draw(st.lists(FUZZ_NAMES, min_size=2, max_size=5, unique=True))
+    problems = draw(st.lists(FUZZ_NAMES, min_size=1, max_size=3, unique=True))
+    rows = [
+        [a, p, m, draw(FUZZ_FINITE), draw(st.sampled_from(["0", "0.1", "1", "1e308"])),
+         draw(st.sampled_from(["1", "3"]))]
+        for a in agents for p in problems for m in ("win", "score")
+    ]
+    i = draw(st.integers(0, len(rows) - 1))
+    edit = draw(st.sampled_from(["none", "none", "none", "stat", "drop", "repeat"]))
+    if edit == "stat":
+        rows[i][draw(st.sampled_from([3, 4]))] = draw(FUZZ_ODD)
+    elif edit != "none":
+        row = rows.pop(i)
+        rows += [row, row] if edit == "repeat" else []
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=stats_rows())
+@example(rows=CONTROL_CHARACTER_ROWS)
+def test_correlate_fuzz_exits_with_a_code_and_writes_parseable_svg(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        stats = Path(tmp) / "stats.csv"
+        with open(stats, "w", newline="", encoding="utf-8") as f:
+            csv.writer(f).writerows([["agent", "problem", "measure", "mean", "stddev", "count"],
+                                     *rows])
+        out = Path(tmp) / "out"
+        code = run("correlate", "--stats", stats, "--out", out)
+        assert code in (0, 1, 2)
+        if code == 0:
+            for name in ("heatmap_win.svg", "heatmap_score.svg"):
+                ET.parse(out / name)
 
 
 class TestConfigFile:
