@@ -330,11 +330,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     kinds = archetypes(args.archetype, args.problems, args.gap, args.sigma)
     spec = SynthSpec(args.agents, kinds, args.samples, args.seed)
     records = generate(spec)
-    _write_csv(
-        _outdir(args) / "playthroughs.csv",
-        ("agent", "problem", "score", "win"),
-        ((agent, problem, score, int(win)) for agent, problem, score, win in records),
-    )
+    # synth names and float reprs never need CSV quoting, so one f-string
+    # per row writes what csv.writer would
+    path = _outdir(args) / "playthroughs.csv"
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.write("agent,problem,score,win\n")
+        f.writelines(f"{a},{p},{score!r},{win:d}\n" for a, p, score, win in records)
+    print(f"wrote {path}")
     print(
         f"{len(records)} records: {spec.agents} agents x "
         f"{len(spec.archetypes)} problems x {spec.samples_per_cell} samples"

@@ -27,7 +27,8 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import product
+from itertools import product, repeat
+from operator import sub
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -93,8 +94,8 @@ class MetricKey(tuple):
 
 
 def _csv_rows(stream: IO[str], header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(line, stripped fields)`` for each non-empty data row of a
-    headed CSV.
+    """Yield ``(line, fields)`` for each non-empty data row of a headed
+    CSV, the fields as ``csv.reader`` gives them, unstripped.
 
     The header must match ``header`` case-insensitively and every row must
     have one field per column.  Errors are ``ParseError``s naming the
@@ -108,14 +109,13 @@ def _csv_rows(stream: IO[str], header: tuple[str, ...]) -> Iterator[tuple[int, l
             raise ParseError(f"empty file, expected header {expected!r}", 1)
         if tuple(h.strip().lower() for h in first) != header:
             raise ParseError(f"bad header {','.join(first)!r}, expected {expected!r}", 1)
+        width = len(header)
         for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} fields, got {len(row)}", reader.line_num
-                )
-            yield reader.line_num, [f.strip() for f in row]
+            if len(row) != width:
+                if not row:
+                    continue
+                raise ParseError(f"expected {width} fields, got {len(row)}", reader.line_num)
+            yield reader.line_num, row
     except csv.Error as exc:
         raise ParseError(str(exc), reader.line_num) from None
 
@@ -154,24 +154,30 @@ def parse_records(stream: IO[str]) -> list[tuple[str, str, float, bool]]:
     name the offending 1-based line (header = line 1).
     """
     records = []
+    append, isfinite, win_tokens = records.append, math.isfinite, _WIN_TOKENS
     for line, (agent, problem, score_text, win_text) in _csv_rows(stream, _EXPECTED_HEADER):
+        agent = agent.strip()
         if not agent:
             raise ParseError("empty agent identifier", line)
+        problem = problem.strip()
         if not problem:
             raise ParseError("empty problem identifier", line)
+        # strip even for float(): it keeps U+001C..U+001F, which strip() drops
+        score_text = score_text.strip()
         try:
             score = float(score_text)
         except ValueError:
             raise ParseError(f"unparseable score {score_text!r}", line)
-        if not math.isfinite(score):
+        if not isfinite(score):
             raise ParseError(f"non-finite score {score_text!r}", line)
-        win = _WIN_TOKENS.get(win_text.lower())
+        win_text = win_text.strip()
+        win = win_tokens.get(win_text.lower())
         if win is None:
             raise ParseError(
                 f"bad win value {win_text!r} (expected 0/1, true/false or win/lose)",
                 line,
             )
-        records.append((agent, problem, score, win))
+        append((agent, problem, score, win))
     return records
 
 
@@ -313,7 +319,7 @@ def _gaussian_stat(values: Sequence[float]) -> tuple[float, float, int]:
     # order the values arrived in.
     n = len(values)
     mean = math.fsum(values) / n
-    ssd = math.fsum((v - mean) ** 2 for v in values)
+    ssd = math.fsum(map(pow, map(sub, values, repeat(mean)), repeat(2)))
     return mean, math.sqrt(ssd / (n - 1)) if n > 1 else 0.0, n
 
 
@@ -330,18 +336,21 @@ def aggregate(
     error unless ``allow_missing`` is set, in which case agents lacking
     full coverage are dropped (with a warning).
     """
-    scores: dict[tuple[str, str], list[float]] = {}
-    wins: dict[tuple[str, str], list[float]] = {}
+    # (agent, problem) -> (scores, win outcomes as 0.0/1.0)
+    cells: dict[tuple[str, str], tuple[list[float], list[float]]] = {}
     for agent, problem, score, win in records:
-        cell = (agent, problem)
-        scores.setdefault(cell, []).append(score)
-        wins.setdefault(cell, []).append(1.0 if win else 0.0)
-    if not scores:
+        try:
+            scores, wins = cells[agent, problem]
+        except KeyError:
+            scores, wins = cells[agent, problem] = [], []
+        scores.append(score)
+        wins.append(1.0 if win else 0.0)
+    if not cells:
         raise InputError("no records to aggregate")
 
-    agents = sorted({a for a, _ in scores})
-    problems = sorted({p for _, p in scores})
-    missing = [(a, p) for a in agents for p in problems if (a, p) not in scores]
+    agents = sorted({a for a, _ in cells})
+    problems = sorted({p for _, p in cells})
+    missing = [(a, p) for a in agents for p in problems if (a, p) not in cells]
     if missing:
         if not allow_missing:
             raise CompletenessError(
@@ -349,22 +358,22 @@ def aggregate(
                 + _first_eight([f"({a}, {p})" for a, p in missing]),
                 missing,
             )
-        dropped = sorted({a for a, _ in missing})
+        dropped = {a for a, _ in missing}
         warnings.warn(
             f"dropping {len(dropped)} agent(s) lacking full problem coverage: "
-            f"{', '.join(dropped)}",
+            f"{', '.join(sorted(dropped))}",
             stacklevel=2,
         )
-        agents = [a for a in agents if a not in set(dropped)]
+        agents = [a for a in agents if a not in dropped]
         if not agents:
             raise InputError("no agent covers every problem")
 
     rows = []
     for a in agents:
         for p in problems:
-            for measure, values in ((Measure.SCORE, scores), (Measure.WIN_RATE, wins)):
+            for measure, values in zip((Measure.SCORE, Measure.WIN_RATE), cells[a, p]):
                 try:
-                    rows.append((a, p, measure, *_gaussian_stat(values[(a, p)])))
+                    rows.append((a, p, measure, *_gaussian_stat(values)))
                 except OverflowError:
                     raise InputError(
                         f"{_cell_name(a, p, measure)} values are too large to "
@@ -421,7 +430,7 @@ def dumps_canonical_json(document) -> str:
 def read_stats_csv(stream: IO[str]) -> PerformanceTable:
     def rows():
         for line, fields in _csv_rows(stream, STATS_HEADER):
-            agent, problem, measure, mean, stddev, count = fields
+            agent, problem, measure, mean, stddev, count = map(str.strip, fields)
             try:
                 row = agent, problem, measure, float(mean), float(stddev), int(count)
             except ValueError as exc:

@@ -1,0 +1,84 @@
+"""Test-only ingest references.
+
+``_csv_rows`` and ``parse_records`` are the playthrough reader the
+package shipped before it stopped building a stripped field list per
+row; ``gaussian_stat`` is the per-cell summary with its sum of squares
+taken over a generator.  The package's reader must return the same
+records, or raise the same ``ParseError`` at the same line, and its
+summary must be bit-identical.
+"""
+
+import csv
+import math
+from typing import IO, Iterator, Sequence
+
+from infobench.errors import ParseError
+from infobench.perf import _EXPECTED_HEADER, _WIN_TOKENS
+
+
+def _csv_rows(stream: IO[str], header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line, stripped fields)`` for each non-empty data row of a
+    headed CSV.
+
+    The header must match ``header`` case-insensitively and every row must
+    have one field per column.  Errors are ``ParseError``s naming the
+    1-based line (header = line 1).
+    """
+    expected = ",".join(header)
+    reader = csv.reader(stream)
+    try:
+        first = next(reader, None)
+        if first is None:
+            raise ParseError(f"empty file, expected header {expected!r}", 1)
+        if tuple(h.strip().lower() for h in first) != header:
+            raise ParseError(f"bad header {','.join(first)!r}, expected {expected!r}", 1)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(
+                    f"expected {len(header)} fields, got {len(row)}", reader.line_num
+                )
+            yield reader.line_num, [f.strip() for f in row]
+    except csv.Error as exc:
+        raise ParseError(str(exc), reader.line_num) from None
+
+
+def parse_records(stream: IO[str]) -> list[tuple[str, str, float, bool]]:
+    """Parse a playthrough CSV into ``(agent, problem, score, win)`` tuples,
+    preserving file order.
+
+    The header must be exactly ``agent,problem,score,win``.  Win tokens
+    accept 0/1, true/false and win/lose, case-insensitively.  Errors
+    name the offending 1-based line (header = line 1).
+    """
+    records = []
+    for line, (agent, problem, score_text, win_text) in _csv_rows(stream, _EXPECTED_HEADER):
+        if not agent:
+            raise ParseError("empty agent identifier", line)
+        if not problem:
+            raise ParseError("empty problem identifier", line)
+        try:
+            score = float(score_text)
+        except ValueError:
+            raise ParseError(f"unparseable score {score_text!r}", line)
+        if not math.isfinite(score):
+            raise ParseError(f"non-finite score {score_text!r}", line)
+        win = _WIN_TOKENS.get(win_text.lower())
+        if win is None:
+            raise ParseError(
+                f"bad win value {win_text!r} (expected 0/1, true/false or win/lose)",
+                line,
+            )
+        records.append((agent, problem, score, win))
+    return records
+
+
+def gaussian_stat(values: Sequence[float]) -> tuple[float, float, int]:
+    """Mean, sample stddev and count; the stddev of a single value is 0.0."""
+    # math.fsum is exactly rounded, so the result does not depend on the
+    # order the values arrived in.
+    n = len(values)
+    mean = math.fsum(values) / n
+    ssd = math.fsum((v - mean) ** 2 for v in values)
+    return mean, math.sqrt(ssd / (n - 1)) if n > 1 else 0.0, n

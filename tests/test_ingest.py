@@ -1,0 +1,153 @@
+"""The playthrough path end to end: synth's CSV text, the reader and the
+per-cell summary, each held to the form it replaced or to what it must
+give back."""
+
+import csv
+import io
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import reference_ingest
+from infobench.cli import main
+from infobench.errors import ParseError
+from infobench.perf import _gaussian_stat, parse_records
+from infobench.synth import ARCHETYPE_CHOICES, SynthSpec, archetypes, generate
+
+
+def run(*argv):
+    return main([str(a) for a in argv])
+
+
+def outcome(parse, text):
+    """The records, by ``repr`` so -0.0 and 0.0 differ, or the error
+    message and line."""
+    try:
+        return [repr(r) for r in parse(io.StringIO(text, newline=""))]
+    except ParseError as exc:
+        return exc.message, exc.line
+
+
+HEADER = "agent,problem,score,win"
+# str.strip() removes each of these pads; float() ignores all but U+001C
+PADS = st.sampled_from(["", "", " ", "\t", "　", "\xa0", "\x1c"])
+NAMES = st.sampled_from(["a", "b", "", "x,y", 'q"u', "two\nlines", "cr\rin", "é", "n\x00l"])
+SCORES = st.sampled_from(
+    ["1.5", "-0.0", "7", "", "abc", "nan", "inf", "-Infinity", "1_0", "0x10", "1e309",
+     "9" * 400, "٣.5", "1,5"]
+)
+WINS = st.sampled_from(["1", "0", "true", "FALSE", "Win", "lose", "", "maybe", "1.0", "2"])
+ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+def quoted(text):
+    """``text`` as one CSV field, quoted when csv.writer would quote it."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def playthrough_text(draw):
+    """A playthrough CSV of up to six lines: padded and quoted fields,
+    blank lines, mixed line endings, wrong field counts, and now and then
+    an unterminated quote or a bad header."""
+    header = draw(st.sampled_from([HEADER, HEADER, HEADER, " Agent , PROBLEM,score,win",
+                                   "agent,game,score,win", ""]))
+    lines = [header]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row", "row", "row", "row", "blank", "width", "open"]))
+        if kind == "blank":
+            lines.append("")
+            continue
+        fields = [draw(NAMES), draw(NAMES), draw(SCORES), draw(WINS)]
+        fields = [quoted(draw(PADS) + f + draw(PADS)) for f in fields]
+        if kind == "width":
+            fields = fields[:3] if draw(st.booleans()) else fields + ["1"]
+        elif kind == "open":
+            fields[draw(st.integers(0, 3))] = '"unterminated'
+        lines.append(",".join(fields))
+    text = "".join(line + draw(ENDINGS) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=playthrough_text())
+# rows with two faults: the earlier line is named, and within a row the
+# first check in the order agent, problem, score parse, score range, win
+@example(text=f"{HEADER}\na,g,1,maybe\na,g,1\n")
+@example(text=f"{HEADER}\n , ,abc,maybe\n")
+@example(text=f"{HEADER}\na, ,abc,maybe\n")
+@example(text=f"{HEADER}\na,g, nan ,maybe\n")
+@example(text=f"{HEADER}\na,g,　abc\xa0,1\n")
+@example(text=f"{HEADER}\na,a,1.5\x1c,1")
+@example(text=f"{HEADER}\r\n a ,\tg\t, 1_0 , Win \r\n\r\nb,g,0x10,0\r\n")
+@example(text=f'{HEADER}\n"a,1","g\n2",-0.0,0\n"unterminated,g,1,1\n')
+@example(text=f"{HEADER}\na\x00,g,{'9' * 400},1\n")
+def test_reader_matches_the_per_row_stripping_reader(text):
+    expected = outcome(reference_ingest.parse_records, text)
+    assert outcome(parse_records, text) == expected
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "playthroughs.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        code = run("ingest", "--input", path, "--out", Path(tmp) / "out")
+    assert code in (0, 1, 2)
+    if isinstance(expected, tuple):
+        assert code == 2
+
+
+def stat_outcome(stat, values):
+    """The summary as ``repr``s, or the exception's type and text."""
+    try:
+        return [repr(x) for x in stat(values)]
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e150, max_value=1e150),
+    st.floats(min_value=-1e-150, max_value=1e-150),
+    st.sampled_from([0.0, -0.0, 1e150, -1e150, 1e-150, 5e-324, 1e154, 1e160]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(FINITE, min_size=1, max_size=12))
+@example(values=[1e160, -1e160])
+@example(values=[1.7e308, -1.7e308, 1.7e308])
+def test_gaussian_stat_is_bit_identical_to_the_generator_form(values):
+    assert stat_outcome(_gaussian_stat, values) == stat_outcome(
+        reference_ingest.gaussian_stat, values
+    )
+
+
+def test_overflowing_squared_deviations_are_too_large_to_summarise(tmp_path, capsys):
+    with pytest.raises(OverflowError):
+        _gaussian_stat([1e160, -1e160])
+    path = tmp_path / "playthroughs.csv"
+    path.write_text(f"{HEADER}\na,g,1e160,1\na,g,-1e160,0\n", encoding="utf-8")
+    assert run("ingest", "--input", path, "--out", tmp_path / "out") == 2
+    assert "(a, g) score values are too large to summarise" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("archetype", ARCHETYPE_CHOICES)
+@pytest.mark.parametrize("sigma", [1.0, 1e300])
+def test_synth_csv_reads_back_as_generate(tmp_path, archetype, sigma):
+    # synth writes rows with f-strings, not csv.writer: this holds only if
+    # no name or float repr needs quoting
+    argv = ("--agents", 3, "--problems", 5, "--samples", 4, "--seed", 7, "--sigma", sigma)
+    assert run("synth", "--archetype", archetype, *argv, "--out", tmp_path) == 0
+    with open(tmp_path / "playthroughs.csv", newline="", encoding="utf-8") as f:
+        header, *rows = csv.reader(f)
+    spec = SynthSpec(3, archetypes(archetype, 5, sigma=sigma), 4, 7)
+    records = generate(spec)
+    assert header == ["agent", "problem", "score", "win"]
+    assert [(a, p, float(s), w == "1") for a, p, s, w in rows] == records
+    assert all(float(s).hex() == r[2].hex() for (_, _, s, _), r in zip(rows, records))
+    assert {w for *_, w in rows} <= {"0", "1"}
+    if sigma == 1e300:
+        assert any("e+" in s for _, _, s, _ in rows)
