@@ -155,30 +155,47 @@ def parse_records(stream: IO[str]) -> list[tuple[str, str, float, bool]]:
     """
     records = []
     append, isfinite, win_tokens = records.append, math.isfinite, _WIN_TOKENS
-    for line, (agent, problem, score_text, win_text) in _csv_rows(stream, _EXPECTED_HEADER):
-        agent = agent.strip()
-        if not agent:
-            raise ParseError("empty agent identifier", line)
-        problem = problem.strip()
-        if not problem:
-            raise ParseError("empty problem identifier", line)
-        # strip even for float(): it keeps U+001C..U+001F, which strip() drops
-        score_text = score_text.strip()
+    # raw name field -> stripped name; every row naming the same agent or
+    # problem then holds the one str kept here, not its own reader copy
+    names: dict[str, str] = {}
+    for line, (agent_text, problem_text, score_text, win_text) in _csv_rows(
+        stream, _EXPECTED_HEADER
+    ):
+        agent = names.get(agent_text) or _strip_name(names, agent_text, "agent", line)
+        problem = names.get(problem_text) or _strip_name(names, problem_text, "problem", line)
         try:
             score = float(score_text)
         except ValueError:
-            raise ParseError(f"unparseable score {score_text!r}", line)
+            # float() keeps U+001C..U+001F, which strip() drops
+            score_text = score_text.strip()
+            try:
+                score = float(score_text)
+            except ValueError:
+                raise ParseError(f"unparseable score {score_text!r}", line) from None
         if not isfinite(score):
-            raise ParseError(f"non-finite score {score_text!r}", line)
-        win_text = win_text.strip()
-        win = win_tokens.get(win_text.lower())
+            raise ParseError(f"non-finite score {score_text.strip()!r}", line)
+        win = win_tokens.get(win_text)
         if win is None:
-            raise ParseError(
-                f"bad win value {win_text!r} (expected 0/1, true/false or win/lose)",
-                line,
-            )
+            win_text = win_text.strip()
+            win = win_tokens.get(win_text.lower())
+            if win is None:
+                raise ParseError(
+                    f"bad win value {win_text!r} (expected 0/1, true/false or win/lose)",
+                    line,
+                )
         append((agent, problem, score, win))
     return records
+
+
+def _strip_name(names: dict[str, str], text: str, role: str, line: int) -> str:
+    """The stripped name of a raw ``role`` field not yet in ``names``,
+    recorded there; every spelling of one name maps to the same str."""
+    name = text.strip()
+    if not name:
+        raise ParseError(f"empty {role} identifier", line)
+    name = names.setdefault(name, name)
+    names[text] = name
+    return name
 
 
 def parse_records_path(path: str | Path) -> list[tuple[str, str, float, bool]]:
@@ -323,6 +340,16 @@ def _gaussian_stat(values: Sequence[float]) -> tuple[float, float, int]:
     return mean, math.sqrt(ssd / (n - 1)) if n > 1 else 0.0, n
 
 
+def _win_stat(wins: int, n: int) -> tuple[float, float, int]:
+    """``_gaussian_stat`` of ``wins`` 1.0s and ``n - wins`` 0.0s, bit for
+    bit, from the count alone."""
+    mean = wins / n
+    # fsum is exactly rounded, so the squared deviations summed grouped by
+    # outcome give the same bits as summed in file order
+    ssd = math.fsum([pow(1.0 - mean, 2)] * wins + [pow(0.0 - mean, 2)] * (n - wins))
+    return mean, math.sqrt(ssd / (n - 1)) if n > 1 else 0.0, n
+
+
 def aggregate(
     records: Iterable[tuple[str, str, float, bool]],
     sigma_floor: float = SIGMA_FLOOR_DEFAULT,
@@ -336,15 +363,16 @@ def aggregate(
     error unless ``allow_missing`` is set, in which case agents lacking
     full coverage are dropped (with a warning).
     """
-    # (agent, problem) -> (scores, win outcomes as 0.0/1.0)
-    cells: dict[tuple[str, str], tuple[list[float], list[float]]] = {}
+    # (agent, problem) -> [scores, number of wins]
+    cells: dict[tuple[str, str], list] = {}
     for agent, problem, score, win in records:
         try:
-            scores, wins = cells[agent, problem]
+            cell = cells[agent, problem]
         except KeyError:
-            scores, wins = cells[agent, problem] = [], []
-        scores.append(score)
-        wins.append(1.0 if win else 0.0)
+            cell = cells[agent, problem] = [[], 0]
+        cell[0].append(score)
+        if win:
+            cell[1] += 1
     if not cells:
         raise InputError("no records to aggregate")
 
@@ -361,7 +389,7 @@ def aggregate(
         dropped = {a for a, _ in missing}
         warnings.warn(
             f"dropping {len(dropped)} agent(s) lacking full problem coverage: "
-            f"{', '.join(sorted(dropped))}",
+            f"{_first_eight(sorted(dropped))}",
             stacklevel=2,
         )
         agents = [a for a in agents if a not in dropped]
@@ -371,14 +399,15 @@ def aggregate(
     rows = []
     for a in agents:
         for p in problems:
-            for measure, values in zip((Measure.SCORE, Measure.WIN_RATE), cells[a, p]):
-                try:
-                    rows.append((a, p, measure, *_gaussian_stat(values)))
-                except OverflowError:
-                    raise InputError(
-                        f"{_cell_name(a, p, measure)} values are too large to "
-                        "summarise in floating point"
-                    ) from None
+            scores, wins = cells[a, p]
+            try:
+                rows.append((a, p, Measure.SCORE, *_gaussian_stat(scores)))
+            except OverflowError:
+                raise InputError(
+                    f"{_cell_name(a, p, Measure.SCORE)} values are too large to "
+                    "summarise in floating point"
+                ) from None
+            rows.append((a, p, Measure.WIN_RATE, *_win_stat(wins, len(scores))))
     return PerformanceTable.from_stats(rows, sigma_floor)
 
 

@@ -5,6 +5,7 @@ give back."""
 import csv
 import io
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import reference_ingest
 from infobench.cli import main
 from infobench.errors import ParseError
-from infobench.perf import _gaussian_stat, parse_records
+from infobench.perf import _gaussian_stat, _win_stat, parse_records
 from infobench.synth import ARCHETYPE_CHOICES, SynthSpec, archetypes, generate
 
 
@@ -87,6 +88,13 @@ def playthrough_text(draw):
 @example(text=f"{HEADER}\r\n a ,\tg\t, 1_0 , Win \r\n\r\nb,g,0x10,0\r\n")
 @example(text=f'{HEADER}\n"a,1","g\n2",-0.0,0\n"unterminated,g,1,1\n')
 @example(text=f"{HEADER}\na\x00,g,{'9' * 400},1\n")
+# one name spelled three ways, padded wins and scores, and empty names
+# met after their padded spellings were seen: the cached and fallback paths
+@example(text=f"{HEADER}\na1,g,1,1\n a1,g,2,0\na1\t,g,3,1\n")
+@example(text=f"{HEADER}\na,g,1,WIN\na,g,2, Lose \na,g,3,TRUE\n")
+@example(text=f"{HEADER}\na,g,\x1c1.5\x1c,1\na,g, -0.0 ,0\na,g,\x1cnan ,1\n")
+@example(text=f"{HEADER}\n a1 ,g,1,1\n ,g,2,0\n")
+@example(text=f"{HEADER}\n g ,g ,1,1\ng, ,2,0\n")
 def test_reader_matches_the_per_row_stripping_reader(text):
     expected = outcome(reference_ingest.parse_records, text)
     assert outcome(parse_records, text) == expected
@@ -99,10 +107,10 @@ def test_reader_matches_the_per_row_stripping_reader(text):
         assert code == 2
 
 
-def stat_outcome(stat, values):
+def stat_outcome(stat, *args):
     """The summary as ``repr``s, or the exception's type and text."""
     try:
-        return [repr(x) for x in stat(values)]
+        return [repr(x) for x in stat(*args)]
     except (OverflowError, ValueError) as exc:
         return type(exc), str(exc)
 
@@ -123,6 +131,42 @@ def test_gaussian_stat_is_bit_identical_to_the_generator_form(values):
     assert stat_outcome(_gaussian_stat, values) == stat_outcome(
         reference_ingest.gaussian_stat, values
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=st.integers(1, 10_000).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n))))
+@example(counts=(0, 1))
+@example(counts=(1, 1))
+@example(counts=(0, 10_000))
+@example(counts=(10_000, 10_000))
+@example(counts=(1, 3))
+@example(counts=(137, 200))
+def test_win_stat_is_bit_identical_to_the_summary_of_its_outcomes(counts):
+    wins, n = counts
+    outcomes = [1.0] * wins + [0.0] * (n - wins)
+    expected = stat_outcome(reference_ingest.gaussian_stat, outcomes)
+    assert stat_outcome(_win_stat, wins, n) == expected
+
+
+def test_rows_share_one_str_per_name():
+    lines = [HEADER] + [
+        f"agent{a},problem{p},{s * 0.25},{s % 2}"
+        for a in range(10) for p in range(20) for s in range(100)
+    ]
+    stream = io.StringIO("\n".join(lines) + "\n", newline="")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        records = parse_records(stream)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 20_000
+    assert len({id(a) for a, *_ in records}) == 10
+    assert len({id(p) for _, p, *_ in records}) == 20
+    # a 4-tuple, its float and a list slot; a reader copy of each name
+    # per row would more than double this
+    assert retained / len(records) <= 120
 
 
 def test_overflowing_squared_deviations_are_too_large_to_summarise(tmp_path, capsys):

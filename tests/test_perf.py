@@ -201,6 +201,26 @@ class TestAggregate:
             table = aggregate(records, allow_missing=True)
         assert table.agents == ("a1",)
 
+    def test_allow_missing_names_the_first_eight_dropped_agents(self):
+        records = [rec("full", p, float(s), s > 0) for p in ("g1", "g2") for s in (0, 1)]
+        records += [rec(f"a{i:02d}", "g1", 1.0, True) for i in range(11)]
+        with pytest.warns(UserWarning) as caught:
+            table = aggregate(records, allow_missing=True)
+        assert "dropping 11 agent(s) lacking full problem coverage: a00, a01, a02, a03, " \
+            "a04, a05, a06, a07 and 3 more" in [str(w.message) for w in caught]
+        assert table.agents == ("full",)
+
+    @pytest.mark.parametrize("won, lost", [(1, 0), (np.True_, np.False_), ("x", "")])
+    def test_wins_are_read_by_truthiness(self, won, lost):
+        outcomes = [(a, p, i, i % 2 == 0) for a in ("a1", "a2") for p in ("g1", "g2")
+                    for i in range(5)]
+        expected = aggregate([rec(a, p, float(i), w) for a, p, i, w in outcomes])
+        table = aggregate([rec(a, p, float(i), won if w else lost) for a, p, i, w in outcomes])
+        assert (table.agents, table.keys) == (expected.agents, expected.keys)
+        for got, want in ((table.means, expected.means), (table.stddevs, expected.stddevs),
+                          (table.counts, expected.counts)):
+            assert got.tobytes() == want.tobytes()
+
     def test_no_records(self):
         with pytest.raises(InputError):
             aggregate([])
