@@ -163,26 +163,21 @@ def parse_records(stream: IO[str]) -> list[tuple[str, str, float, bool]]:
     ):
         agent = names.get(agent_text) or _strip_name(names, agent_text, "agent", line)
         problem = names.get(problem_text) or _strip_name(names, problem_text, "problem", line)
+        # strip even for float(): it keeps U+001C..U+001F, which strip() drops
+        score_text = score_text.strip()
         try:
             score = float(score_text)
         except ValueError:
-            # float() keeps U+001C..U+001F, which strip() drops
-            score_text = score_text.strip()
-            try:
-                score = float(score_text)
-            except ValueError:
-                raise ParseError(f"unparseable score {score_text!r}", line) from None
+            raise ParseError(f"unparseable score {score_text!r}", line)
         if not isfinite(score):
-            raise ParseError(f"non-finite score {score_text.strip()!r}", line)
-        win = win_tokens.get(win_text)
+            raise ParseError(f"non-finite score {score_text!r}", line)
+        win_text = win_text.strip()
+        win = win_tokens.get(win_text.lower())
         if win is None:
-            win_text = win_text.strip()
-            win = win_tokens.get(win_text.lower())
-            if win is None:
-                raise ParseError(
-                    f"bad win value {win_text!r} (expected 0/1, true/false or win/lose)",
-                    line,
-                )
+            raise ParseError(
+                f"bad win value {win_text!r} (expected 0/1, true/false or win/lose)",
+                line,
+            )
         append((agent, problem, score, win))
     return records
 
@@ -340,16 +335,6 @@ def _gaussian_stat(values: Sequence[float]) -> tuple[float, float, int]:
     return mean, math.sqrt(ssd / (n - 1)) if n > 1 else 0.0, n
 
 
-def _win_stat(wins: int, n: int) -> tuple[float, float, int]:
-    """``_gaussian_stat`` of ``wins`` 1.0s and ``n - wins`` 0.0s, bit for
-    bit, from the count alone."""
-    mean = wins / n
-    # fsum is exactly rounded, so the squared deviations summed grouped by
-    # outcome give the same bits as summed in file order
-    ssd = math.fsum([pow(1.0 - mean, 2)] * wins + [pow(0.0 - mean, 2)] * (n - wins))
-    return mean, math.sqrt(ssd / (n - 1)) if n > 1 else 0.0, n
-
-
 def aggregate(
     records: Iterable[tuple[str, str, float, bool]],
     sigma_floor: float = SIGMA_FLOOR_DEFAULT,
@@ -400,14 +385,17 @@ def aggregate(
     for a in agents:
         for p in problems:
             scores, wins = cells[a, p]
-            try:
-                rows.append((a, p, Measure.SCORE, *_gaussian_stat(scores)))
-            except OverflowError:
-                raise InputError(
-                    f"{_cell_name(a, p, Measure.SCORE)} values are too large to "
-                    "summarise in floating point"
-                ) from None
-            rows.append((a, p, Measure.WIN_RATE, *_win_stat(wins, len(scores))))
+            # _gaussian_stat's fsums are exactly rounded, so the outcomes
+            # grouped by kind summarise as they would in file order
+            outcomes = [1.0] * wins + [0.0] * (len(scores) - wins)
+            for measure, values in zip((Measure.SCORE, Measure.WIN_RATE), (scores, outcomes)):
+                try:
+                    rows.append((a, p, measure, *_gaussian_stat(values)))
+                except OverflowError:
+                    raise InputError(
+                        f"{_cell_name(a, p, measure)} values are too large to "
+                        "summarise in floating point"
+                    ) from None
     return PerformanceTable.from_stats(rows, sigma_floor)
 
 
