@@ -46,6 +46,7 @@ from .perf import (
     Measure,
     MetricKey,
     PerformanceTable,
+    Playthroughs,
     SIGMA_FLOOR_DEFAULT,
     aggregate,
     load_stats,
@@ -77,6 +78,7 @@ __all__ = [
     "NegativeMarginal",
     "ParseError",
     "PerformanceTable",
+    "Playthroughs",
     "SELECTION_MODES",
     "SIGMA_FLOOR_DEFAULT",
     "SelectionReport",

@@ -1,7 +1,8 @@
 """Playthrough ingestion and the Gaussian performance table.
 
 A playthrough log is a CSV of ``agent,problem,score,win`` rows, parsed
-into plain ``(agent, problem, score, win)`` tuples in file order.  Each
+into ``Playthroughs``: columns in file order that iterate as plain
+``(agent, problem, score, win)`` tuples.  Each
 (agent, problem) pair is summarised by two metric cells: the win rate
 (mean of the 0/1 outcomes) and the score, both modelled as Gaussians
 with a sample mean, a Bessel-corrected sample standard deviation and a
@@ -25,6 +26,7 @@ import json
 import math
 import re
 import warnings
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product, repeat
@@ -145,24 +147,56 @@ def _read_text(path: str | Path, read: Callable[[IO[str]], T]) -> T:
             raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def parse_records(stream: IO[str]) -> list[tuple[str, str, float, bool]]:
-    """Parse a playthrough CSV into ``(agent, problem, score, win)`` tuples,
-    preserving file order.
+class Playthroughs:
+    """Playthroughs as columns, in file or draw order.
+
+    ``names`` holds each distinct name once; ``agents`` and ``problems``
+    are codes into it, ``scores`` the scores and ``wins`` 0/1 bytes, so a
+    row costs 17 bytes.  Iterating yields the rows as ``(agent, problem,
+    score, win)`` tuples of ``str``, ``str``, ``float`` and ``bool``.
+    """
+
+    __slots__ = ("names", "agents", "problems", "scores", "wins")
+
+    def __init__(self) -> None:
+        self.names: list[str] = []
+        self.agents = array("i")
+        self.problems = array("i")
+        self.scores = array("d")
+        self.wins = bytearray()
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def __iter__(self) -> Iterator[tuple[str, str, float, bool]]:
+        name = self.names.__getitem__
+        return zip(
+            map(name, self.agents), map(name, self.problems), self.scores, map(bool, self.wins)
+        )
+
+
+def parse_records(stream: IO[str]) -> Playthroughs:
+    """Parse a playthrough CSV into ``Playthroughs``, preserving file order.
 
     The header must be exactly ``agent,problem,score,win``.  Win tokens
     accept 0/1, true/false and win/lose, case-insensitively.  Errors
     name the offending 1-based line (header = line 1).
     """
-    records = []
-    append, isfinite, win_tokens = records.append, math.isfinite, _WIN_TOKENS
-    # raw name field -> stripped name; every row naming the same agent or
-    # problem then holds the one str kept here, not its own reader copy
-    names: dict[str, str] = {}
+    records = Playthroughs()
+    add_agent, add_problem = records.agents.append, records.problems.append
+    add_score, add_win = records.scores.append, records.wins.append
+    isfinite, win_tokens = math.isfinite, _WIN_TOKENS
+    # raw name field -> code of its stripped name in records.names
+    codes: dict[str, int] = {}
     for line, (agent_text, problem_text, score_text, win_text) in _csv_rows(
         stream, _EXPECTED_HEADER
     ):
-        agent = names.get(agent_text) or _strip_name(names, agent_text, "agent", line)
-        problem = names.get(problem_text) or _strip_name(names, problem_text, "problem", line)
+        agent = codes.get(agent_text)
+        if agent is None:
+            agent = _name_code(codes, records.names, agent_text, "agent", line)
+        problem = codes.get(problem_text)
+        if problem is None:
+            problem = _name_code(codes, records.names, problem_text, "problem", line)
         # strip even for float(): it keeps U+001C..U+001F, which strip() drops
         score_text = score_text.strip()
         try:
@@ -178,22 +212,28 @@ def parse_records(stream: IO[str]) -> list[tuple[str, str, float, bool]]:
                 f"bad win value {win_text!r} (expected 0/1, true/false or win/lose)",
                 line,
             )
-        append((agent, problem, score, win))
+        add_agent(agent)
+        add_problem(problem)
+        add_score(score)
+        add_win(win)
     return records
 
 
-def _strip_name(names: dict[str, str], text: str, role: str, line: int) -> str:
-    """The stripped name of a raw ``role`` field not yet in ``names``,
-    recorded there; every spelling of one name maps to the same str."""
+def _name_code(codes: dict[str, int], names: list[str], text: str, role: str, line: int) -> int:
+    """The code of a raw ``role`` field not yet in ``codes``, recorded
+    there; every spelling of one name maps to the code of its one entry
+    in ``names``."""
     name = text.strip()
     if not name:
         raise ParseError(f"empty {role} identifier", line)
-    name = names.setdefault(name, name)
-    names[text] = name
-    return name
+    code = codes.setdefault(name, len(names))
+    if code == len(names):
+        names.append(name)
+    codes[text] = code
+    return code
 
 
-def parse_records_path(path: str | Path) -> list[tuple[str, str, float, bool]]:
+def parse_records_path(path: str | Path) -> Playthroughs:
     return _read_text(path, parse_records)
 
 

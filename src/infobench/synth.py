@@ -1,7 +1,7 @@
 """Synthetic corpora with known structure.
 
-The generator produces playthroughs, plain ``(agent, problem, score,
-win)`` tuples as ``perf.parse_records`` returns them, from per-problem
+The generator produces playthroughs, ``perf.Playthroughs`` columns as
+``perf.parse_records`` returns them, from per-problem
 archetypes (score noise is Gaussian, wins are Bernoulli), fully
 determined by the seed; the random stream is numpy's seeded PCG64
 (``default_rng``), so fixtures reproduce across platforms.  Tables are
@@ -10,12 +10,13 @@ built from these playthroughs by ``perf.aggregate``.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .errors import InputError
+from .perf import Playthroughs
 
 ARCHETYPE_KINDS = ("identical", "linear", "two-cluster", "delayed")
 
@@ -109,7 +110,7 @@ def _archetype_params(arch: Archetype, n: int) -> tuple[np.ndarray, float, np.nd
     return mu, arch.sigma, p
 
 
-def generate(spec: SynthSpec) -> list[tuple[str, str, float, bool]]:
+def generate(spec: SynthSpec) -> Playthroughs:
     """Draw every ``(agent, problem, score, win)`` playthrough for a spec;
     byte-identical per seed.
 
@@ -119,10 +120,12 @@ def generate(spec: SynthSpec) -> list[tuple[str, str, float, bool]]:
     ``InputError``.
     """
     rng = np.random.default_rng(spec.seed)
-    records: list[tuple[str, str, float, bool]] = []
+    records = Playthroughs()
+    records.names.extend(spec.agent_names + spec.problem_names)
     m = spec.samples_per_cell
-    for problem, arch in zip(spec.problem_names, spec.archetypes):
+    for p_idx, (problem, arch) in enumerate(zip(spec.problem_names, spec.archetypes)):
         mu, sigma, p = _archetype_params(arch, spec.agents)
+        problem_codes = array("i", [spec.agents + p_idx]) * m
         for a_idx, agent in enumerate(spec.agent_names):
             wins = rng.random(m) < p[a_idx]
             scores = rng.normal(mu[a_idx], sigma, m)
@@ -131,5 +134,8 @@ def generate(spec: SynthSpec) -> list[tuple[str, str, float, bool]]:
                     f"({agent}, {problem}): a score mean or draw is not finite; "
                     "gap or sigma is too large for floating point"
                 )
-            records.extend(zip(repeat(agent), repeat(problem), scores.tolist(), wins.tolist()))
+            records.agents.extend(array("i", [a_idx]) * m)
+            records.problems.extend(problem_codes)
+            records.scores.frombytes(scores.tobytes())
+            records.wins.extend(wins.tobytes())
     return records

@@ -3,17 +3,23 @@
 ``_csv_rows`` and ``parse_records`` are the playthrough reader the
 package shipped before it stopped building a stripped field list per
 row; ``gaussian_stat`` is the per-cell summary with its sum of squares
-taken over a generator.  The package's reader must return the same
-records, or raise the same ``ParseError`` at the same line, and its
-summary must be bit-identical.
+taken over a generator; ``generate`` is the synthetic corpus drawn into a
+list of tuples, one cell at a time.  The package's reader must return
+the same records, or raise the same ``ParseError`` at the same line, its
+summary must be bit-identical, and its generator must draw the same
+records bit for bit.
 """
 
 import csv
 import math
+from itertools import repeat
 from typing import IO, Iterator, Sequence
 
-from infobench.errors import ParseError
+import numpy as np
+
+from infobench.errors import InputError, ParseError
 from infobench.perf import _EXPECTED_HEADER, _WIN_TOKENS
+from infobench.synth import SynthSpec, _archetype_params
 
 
 def _csv_rows(stream: IO[str], header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
@@ -82,3 +88,29 @@ def gaussian_stat(values: Sequence[float]) -> tuple[float, float, int]:
     mean = math.fsum(values) / n
     ssd = math.fsum((v - mean) ** 2 for v in values)
     return mean, math.sqrt(ssd / (n - 1)) if n > 1 else 0.0, n
+
+
+def generate(spec: SynthSpec) -> list[tuple[str, str, float, bool]]:
+    """Draw every ``(agent, problem, score, win)`` playthrough for a spec;
+    byte-identical per seed.
+
+    Draw order is fixed: problems outermost, then agents, and for each
+    cell the win outcomes before the scores.  A gap or sigma so large
+    that a mean or a drawn score leaves the float range is an
+    ``InputError``.
+    """
+    rng = np.random.default_rng(spec.seed)
+    records: list[tuple[str, str, float, bool]] = []
+    m = spec.samples_per_cell
+    for problem, arch in zip(spec.problem_names, spec.archetypes):
+        mu, sigma, p = _archetype_params(arch, spec.agents)
+        for a_idx, agent in enumerate(spec.agent_names):
+            wins = rng.random(m) < p[a_idx]
+            scores = rng.normal(mu[a_idx], sigma, m)
+            if not np.isfinite(scores).all():
+                raise InputError(
+                    f"({agent}, {problem}): a score mean or draw is not finite; "
+                    "gap or sigma is too large for floating point"
+                )
+            records.extend(zip(repeat(agent), repeat(problem), scores.tolist(), wins.tolist()))
+    return records

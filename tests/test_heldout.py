@@ -23,7 +23,7 @@ RANDOM_SUBSETS = 30
 @functools.cache
 def halves(gap):
     spec = SynthSpec(27, archetypes("mixed", 108, gap, 1.0), samples_per_cell=40, seed=SEED)
-    records = generate(spec)
+    records = list(generate(spec))
     # each cell's 40 playthroughs are contiguous, so global parity is parity
     # within the cell
     return aggregate(records[0::2]), aggregate(records[1::2])

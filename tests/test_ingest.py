@@ -133,25 +133,61 @@ def test_gaussian_stat_is_bit_identical_to_the_generator_form(values):
     )
 
 
+def retained_bytes(build):
+    """What ``build()`` returns, and the bytes it still holds after."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = build()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return result, retained
+
+
 def test_rows_share_one_str_per_name():
     lines = [HEADER] + [
         f"agent{a},problem{p},{s * 0.25},{s % 2}"
         for a in range(10) for p in range(20) for s in range(100)
     ]
     stream = io.StringIO("\n".join(lines) + "\n", newline="")
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        records = parse_records(stream)
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+    records, retained = retained_bytes(lambda: parse_records(stream))
     assert len(records) == 20_000
     assert len({id(a) for a, *_ in records}) == 10
     assert len({id(p) for _, p, *_ in records}) == 20
-    # a 4-tuple, its float and a list slot; a reader copy of each name
-    # per row would more than double this
-    assert retained / len(records) <= 120
+    # two int codes, a double and a byte per row, with the columns' slack;
+    # a tuple per row in a list takes over 100
+    assert retained / len(records) <= 24
+
+
+def test_generated_rows_are_held_as_columns():
+    spec = SynthSpec(27, archetypes("mixed", 20), samples_per_cell=200, seed=3)
+    generate(SynthSpec(1, archetypes("mixed", 1), 1))  # numpy imports its random module lazily
+    records, retained = retained_bytes(lambda: generate(spec))
+    assert len(records) == 27 * 20 * 200
+    assert retained / len(records) <= 24
+
+
+def test_rows_iterate_as_python_scalars():
+    # a numpy scalar would slip into synth's f-string writer as
+    # "np.float64(1.5)" under numpy 2
+    spec = SynthSpec(3, archetypes("mixed", 4), samples_per_cell=5, seed=1)
+    text = f"{HEADER}\n a ,g,1.5,WIN\nb, g ,-0.0,0\n"
+    for records in (generate(spec), parse_records(io.StringIO(text, newline=""))):
+        types = {tuple(type(x) for x in row) for row in records}
+        assert types == {(str, str, float, bool)}
+
+
+def hex_rows(records):
+    return [(a, p, s.hex(), w) for a, p, s, w in records]
+
+
+@pytest.mark.parametrize("archetype", ARCHETYPE_CHOICES)
+@pytest.mark.parametrize("sigma", [1.0, 1e300])
+@pytest.mark.parametrize("samples", [1, 6])
+def test_generate_draws_what_the_tuple_list_generator_drew(archetype, sigma, samples):
+    spec = SynthSpec(4, archetypes(archetype, 5, sigma=sigma), samples, seed=11)
+    assert hex_rows(generate(spec)) == hex_rows(reference_ingest.generate(spec))
 
 
 def test_overflowing_squared_deviations_are_too_large_to_summarise(tmp_path, capsys):
@@ -173,7 +209,7 @@ def test_synth_csv_reads_back_as_generate(tmp_path, archetype, sigma):
     with open(tmp_path / "playthroughs.csv", newline="", encoding="utf-8") as f:
         header, *rows = csv.reader(f)
     spec = SynthSpec(3, archetypes(archetype, 5, sigma=sigma), 4, 7)
-    records = generate(spec)
+    records = list(generate(spec))
     assert header == ["agent", "problem", "score", "win"]
     assert [(a, p, float(s), w == "1") for a, p, s, w in rows] == records
     assert all(float(s).hex() == r[2].hex() for (_, _, s, _), r in zip(rows, records))

@@ -34,7 +34,7 @@ def parse(text):
 class TestParseRecords:
     def test_direct_field_mapping(self):
         records = parse("agent,problem,score,win\na1,freeway,5.0,1\n")
-        assert records == [("a1", "freeway", 5.0, True)]
+        assert list(records) == [("a1", "freeway", 5.0, True)]
 
     def test_nan_score_rejected_with_line_number(self):
         with pytest.raises(ParseError, match="line 2") as exc:
@@ -58,7 +58,7 @@ class TestParseRecords:
     )
     def test_win_tokens(self, token, expected):
         records = parse(f"agent,problem,score,win\na1,g,1.5,{token}\n")
-        assert records[0][3] is expected
+        assert list(records)[0][3] is expected
 
     def test_bad_win_token(self):
         with pytest.raises(ParseError, match="line 2.*win value"):

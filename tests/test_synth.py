@@ -59,12 +59,12 @@ class TestSpecValidation:
 class TestGenerate:
     def test_seed_determinism(self):
         spec = SynthSpec(3, (Archetype("linear"), Archetype("identical")), 50, seed=42)
-        assert generate(spec) == generate(spec)
+        assert list(generate(spec)) == list(generate(spec))
 
     def test_different_seeds_differ(self):
         base = SynthSpec(3, (Archetype("linear"),), 50, seed=1)
         other = SynthSpec(3, (Archetype("linear"),), 50, seed=2)
-        assert generate(base) != generate(other)
+        assert list(generate(base)) != list(generate(other))
 
     def test_shape_and_naming(self):
         spec = SynthSpec(2, (Archetype("identical"),) * 3, 10, seed=0)
