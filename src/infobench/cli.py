@@ -330,12 +330,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     kinds = archetypes(args.archetype, args.problems, args.gap, args.sigma)
     spec = SynthSpec(args.agents, kinds, args.samples, args.seed)
     records = generate(spec)
-    # synth names and float reprs never need CSV quoting, so one f-string
-    # per row writes what csv.writer would
+    # synth names and float reprs never need CSV quoting: this writes what csv.writer would
+    name = records.names.__getitem__
     path = _outdir(args) / "playthroughs.csv"
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write("agent,problem,score,win\n")
-        f.writelines(f"{a},{p},{score!r},{win:d}\n" for a, p, score, win in records)
+        f.writelines(map("{},{},{!r},{:d}\n".format, map(name, records.agents),
+                         map(name, records.problems), records.scores, records.wins))
     print(f"wrote {path}")
     print(
         f"{len(records)} records: {spec.agents} agents x "

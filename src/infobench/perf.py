@@ -1,12 +1,11 @@
 """Playthrough ingestion and the Gaussian performance table.
 
 A playthrough log is a CSV of ``agent,problem,score,win`` rows, parsed
-into ``Playthroughs``: columns in file order that iterate as plain
-``(agent, problem, score, win)`` tuples.  Each
-(agent, problem) pair is summarised by two metric cells: the win rate
-(mean of the 0/1 outcomes) and the score, both modelled as Gaussians
-with a sample mean, a Bessel-corrected sample standard deviation and a
-sample count.
+into ``Playthroughs``, columns in file order.  ``aggregate`` groups the
+rows by their (agent, problem) codes and summarises each pair by two
+metric cells: the win rate (mean of the 0/1 outcomes) and the score,
+both modelled as Gaussians with a sample mean, a Bessel-corrected sample
+standard deviation and a sample count.
 
 Every table is built by ``PerformanceTable.from_stats`` from stats rows
 ``(agent, problem, measure, mean, stddev, count)``, the rows of a stats
@@ -29,7 +28,7 @@ import warnings
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import product, repeat
+from itertools import pairwise, product, repeat
 from operator import sub
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
@@ -152,8 +151,8 @@ class Playthroughs:
 
     ``names`` holds each distinct name once; ``agents`` and ``problems``
     are codes into it, ``scores`` the scores and ``wins`` 0/1 bytes, so a
-    row costs 17 bytes.  Iterating yields the rows as ``(agent, problem,
-    score, win)`` tuples of ``str``, ``str``, ``float`` and ``bool``.
+    row costs 17 bytes.  A row is read from the columns: the agent is
+    ``names[agents[i]]``, the win ``wins[i] == 1``.
     """
 
     __slots__ = ("names", "agents", "problems", "scores", "wins")
@@ -167,12 +166,6 @@ class Playthroughs:
 
     def __len__(self) -> int:
         return len(self.scores)
-
-    def __iter__(self) -> Iterator[tuple[str, str, float, bool]]:
-        name = self.names.__getitem__
-        return zip(
-            map(name, self.agents), map(name, self.problems), self.scores, map(bool, self.wins)
-        )
 
 
 def parse_records(stream: IO[str]) -> Playthroughs:
@@ -376,30 +369,35 @@ def _gaussian_stat(values: Sequence[float]) -> tuple[float, float, int]:
 
 
 def aggregate(
-    records: Iterable[tuple[str, str, float, bool]],
+    records: Playthroughs,
     sigma_floor: float = SIGMA_FLOOR_DEFAULT,
     allow_missing: bool = False,
 ) -> PerformanceTable:
-    """Fold ``(agent, problem, score, win)`` playthroughs into a complete
-    performance table.
+    """Fold playthroughs into a complete performance table.
 
     Every (agent, problem) pair yields a win-rate cell and a score
     cell.  An agent missing some problem entirely is a completeness
     error unless ``allow_missing`` is set, in which case agents lacking
     full coverage are dropped (with a warning).
     """
-    # (agent, problem) -> [scores, number of wins]
-    cells: dict[tuple[str, str], list] = {}
-    for agent, problem, score, win in records:
-        try:
-            cell = cells[agent, problem]
-        except KeyError:
-            cell = cells[agent, problem] = [[], 0]
-        cell[0].append(score)
-        if win:
-            cell[1] += 1
-    if not cells:
+    if not len(records):
         raise InputError("no records to aggregate")
+    # one int64 code per (agent, problem) cell; sorted, each cell is one run
+    names, width = records.names, len(records.names)
+    codes = np.multiply(np.frombuffer(records.agents, np.intc), width, dtype=np.int64)
+    codes += np.frombuffer(records.problems, np.intc)
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
+    codes = codes[starts].tolist()  # one per cell, from here on
+    wins = np.add.reduceat(np.frombuffer(records.wins, np.uint8)[order], starts, dtype=np.int64)
+    scores = np.frombuffer(records.scores)[order]
+    del order
+    # (agent, problem) -> (first row, end row, number of wins) of its run
+    cells = {
+        (names[code // width], names[code % width]): (*run, won)
+        for code, run, won in zip(codes, pairwise([*starts.tolist(), len(records)]), wins.tolist())
+    }
 
     agents = sorted({a for a, _ in cells})
     problems = sorted({p for _, p in cells})
@@ -424,11 +422,11 @@ def aggregate(
     rows = []
     for a in agents:
         for p in problems:
-            scores, wins = cells[a, p]
+            start, end, won = cells[a, p]
             # _gaussian_stat's fsums are exactly rounded, so the outcomes
             # grouped by kind summarise as they would in file order
-            outcomes = [1.0] * wins + [0.0] * (len(scores) - wins)
-            for measure, values in zip((Measure.SCORE, Measure.WIN_RATE), (scores, outcomes)):
+            cell = scores[start:end].tolist(), [1.0] * won + [0.0] * (end - start - won)
+            for measure, values in zip((Measure.SCORE, Measure.WIN_RATE), cell):
                 try:
                     rows.append((a, p, measure, *_gaussian_stat(values)))
                 except OverflowError:

@@ -1,9 +1,9 @@
 """Synthetic corpora with known structure.
 
-The generator produces playthroughs, ``perf.Playthroughs`` columns as
-``perf.parse_records`` returns them, from per-problem
-archetypes (score noise is Gaussian, wins are Bernoulli), fully
-determined by the seed; the random stream is numpy's seeded PCG64
+The generator draws playthroughs from per-problem archetypes (score
+noise is Gaussian, wins are Bernoulli) into ``perf.Playthroughs``
+columns, the shape ``perf.parse_records`` returns, fully determined by
+the seed; the random stream is numpy's seeded PCG64
 (``default_rng``), so fixtures reproduce across platforms.  Tables are
 built from these playthroughs by ``perf.aggregate``.
 """
@@ -111,8 +111,8 @@ def _archetype_params(arch: Archetype, n: int) -> tuple[np.ndarray, float, np.nd
 
 
 def generate(spec: SynthSpec) -> Playthroughs:
-    """Draw every ``(agent, problem, score, win)`` playthrough for a spec;
-    byte-identical per seed.
+    """Draw every playthrough of a spec into columns; byte-identical per
+    seed.
 
     Draw order is fixed: problems outermost, then agents, and for each
     cell the win outcomes before the scores.  A gap or sigma so large

@@ -6,10 +6,33 @@ import pytest
 from infobench.perf import (
     Measure,
     PerformanceTable,
+    Playthroughs,
     SIGMA_FLOOR_DEFAULT,
     aggregate,
 )
 from infobench.synth import Archetype, SynthSpec, _archetype_params, generate
+
+
+def playthroughs(rows):
+    """``Playthroughs`` holding ``(agent, problem, score, win)`` tuples in
+    order; a win is read by its truth value."""
+    records = Playthroughs()
+    codes = {}
+    for agent, problem, score, win in rows:
+        records.agents.append(codes.setdefault(agent, len(codes)))
+        records.problems.append(codes.setdefault(problem, len(codes)))
+        records.scores.append(score)
+        records.wins.append(1 if win else 0)
+    records.names.extend(codes)
+    return records
+
+
+def playthrough_rows(records):
+    """The ``(agent, problem, score, win)`` tuples of ``Playthroughs``, in
+    order, as ``str``, ``str``, ``float`` and ``bool``."""
+    name = records.names.__getitem__
+    return list(zip(map(name, records.agents), map(name, records.problems), records.scores,
+                    map(bool, records.wins)))
 
 
 def score_table(games, counts=10, sigma_floor=SIGMA_FLOOR_DEFAULT):

@@ -4,21 +4,33 @@
 package shipped before it stopped building a stripped field list per
 row; ``gaussian_stat`` is the per-cell summary with its sum of squares
 taken over a generator; ``generate`` is the synthetic corpus drawn into a
-list of tuples, one cell at a time.  The package's reader must return
-the same records, or raise the same ``ParseError`` at the same line, its
-summary must be bit-identical, and its generator must draw the same
-records bit for bit.
+list of tuples, one cell at a time; ``aggregate`` folds such tuples into
+a table with one dict entry per cell, filled row by row.  The package's
+reader must return the same records, or raise the same ``ParseError`` at
+the same line, its summary must be bit-identical, its generator must
+draw the same records bit for bit, and its aggregate must give the same
+table, warnings and errors.
 """
 
 import csv
 import math
+import warnings
 from itertools import repeat
-from typing import IO, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from infobench.errors import InputError, ParseError
-from infobench.perf import _EXPECTED_HEADER, _WIN_TOKENS
+from infobench.errors import CompletenessError, InputError, ParseError
+from infobench.perf import (
+    _EXPECTED_HEADER,
+    _WIN_TOKENS,
+    SIGMA_FLOOR_DEFAULT,
+    Measure,
+    PerformanceTable,
+    _cell_name,
+    _first_eight,
+    _gaussian_stat,
+)
 from infobench.synth import SynthSpec, _archetype_params
 
 
@@ -114,3 +126,65 @@ def generate(spec: SynthSpec) -> list[tuple[str, str, float, bool]]:
                 )
             records.extend(zip(repeat(agent), repeat(problem), scores.tolist(), wins.tolist()))
     return records
+
+
+def aggregate(
+    records: Iterable[tuple[str, str, float, bool]],
+    sigma_floor: float = SIGMA_FLOOR_DEFAULT,
+    allow_missing: bool = False,
+) -> PerformanceTable:
+    """Fold ``(agent, problem, score, win)`` playthroughs into a complete
+    performance table.
+
+    Every (agent, problem) pair yields a win-rate cell and a score
+    cell.  An agent missing some problem entirely is a completeness
+    error unless ``allow_missing`` is set, in which case agents lacking
+    full coverage are dropped (with a warning).
+    """
+    # (agent, problem) -> [scores, number of wins]
+    cells: dict[tuple[str, str], list] = {}
+    for agent, problem, score, win in records:
+        try:
+            cell = cells[agent, problem]
+        except KeyError:
+            cell = cells[agent, problem] = [[], 0]
+        cell[0].append(score)
+        if win:
+            cell[1] += 1
+    if not cells:
+        raise InputError("no records to aggregate")
+
+    agents = sorted({a for a, _ in cells})
+    problems = sorted({p for _, p in cells})
+    missing = [(a, p) for a in agents for p in problems if (a, p) not in cells]
+    if missing:
+        if not allow_missing:
+            raise CompletenessError(
+                f"{len(missing)} agent-problem pair(s) have no playthroughs: "
+                + _first_eight([f"({a}, {p})" for a, p in missing]),
+                missing,
+            )
+        dropped = {a for a, _ in missing}
+        warnings.warn(
+            f"dropping {len(dropped)} agent(s) lacking full problem coverage: "
+            f"{_first_eight(sorted(dropped))}",
+            stacklevel=2,
+        )
+        agents = [a for a in agents if a not in dropped]
+        if not agents:
+            raise InputError("no agent covers every problem")
+
+    rows = []
+    for a in agents:
+        for p in problems:
+            scores, wins = cells[a, p]
+            outcomes = [1.0] * wins + [0.0] * (len(scores) - wins)
+            for measure, values in zip((Measure.SCORE, Measure.WIN_RATE), (scores, outcomes)):
+                try:
+                    rows.append((a, p, measure, *_gaussian_stat(values)))
+                except OverflowError:
+                    raise InputError(
+                        f"{_cell_name(a, p, measure)} values are too large to "
+                        "summarise in floating point"
+                    ) from None
+    return PerformanceTable.from_stats(rows, sigma_floor)

@@ -612,21 +612,52 @@ def stats_rows(draw):
     return rows
 
 
+def write_stats_rows(path, rows):
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        csv.writer(f).writerows([["agent", "problem", "measure", "mean", "stddev", "count"],
+                                 *rows])
+
+
 @settings(max_examples=40, deadline=None)
 @given(rows=stats_rows())
 @example(rows=CONTROL_CHARACTER_ROWS)
 def test_correlate_fuzz_exits_with_a_code_and_writes_parseable_svg(rows):
     with tempfile.TemporaryDirectory() as tmp:
         stats = Path(tmp) / "stats.csv"
-        with open(stats, "w", newline="", encoding="utf-8") as f:
-            csv.writer(f).writerows([["agent", "problem", "measure", "mean", "stddev", "count"],
-                                     *rows])
+        write_stats_rows(stats, rows)
         out = Path(tmp) / "out"
         code = run("correlate", "--stats", stats, "--out", out)
         assert code in (0, 1, 2)
         if code == 0:
             for name in ("heatmap_win.svg", "heatmap_score.svg"):
                 ET.parse(out / name)
+
+
+# config lines for the stats commands: valid, out of range, unparseable,
+# outside the choices, a required option, a comment, a blank and no "="
+FUZZ_CONFIG = st.sampled_from(
+    ["k=2", "k=0", "k=-1", "k=abc", "metric=win", "metric=score", "metric=bogus", "noise=rss",
+     "noise=loud", "eps-gain=1e-309", "eps-gain=nan", "eps-gain=-1", "per-key=yes",
+     "per-key=maybe", "format=json", "format=csv,svg", "format=bogus", "problems=a",
+     "# comment", "", "no equals sign"]
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=stats_rows(), command=st.sampled_from(["info-gain", "select", "confusion"]),
+       config=st.lists(FUZZ_CONFIG, max_size=4), data=st.data())
+def test_stats_command_fuzz_exits_with_a_code_and_no_traceback(rows, command, config, data):
+    argv = [command]
+    if command == "confusion":
+        names = data.draw(st.lists(FUZZ_NAMES | st.just("missing"), min_size=1, max_size=3))
+        argv.append(f"--problems={','.join(names)}")
+    with tempfile.TemporaryDirectory() as tmp:
+        stats, cfg = Path(tmp) / "stats.csv", Path(tmp) / "run.conf"
+        write_stats_rows(stats, rows)
+        cfg.write_text("".join(line + "\n" for line in config), encoding="utf-8")
+        # an exception escaping main is the traceback the exit contract forbids
+        code = run(*argv, "--stats", stats, "--config", cfg, "--out", Path(tmp) / "out")
+    assert code in (0, 1, 2)
 
 
 class TestConfigFile:

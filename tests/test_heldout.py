@@ -12,6 +12,7 @@ import statistics
 import numpy as np
 import pytest
 
+from conftest import playthrough_rows, playthroughs
 from infobench.infogain import greedy_select, info_gain_set, metric_keys_for
 from infobench.perf import aggregate
 from infobench.synth import SynthSpec, archetypes, generate
@@ -23,10 +24,10 @@ RANDOM_SUBSETS = 30
 @functools.cache
 def halves(gap):
     spec = SynthSpec(27, archetypes("mixed", 108, gap, 1.0), samples_per_cell=40, seed=SEED)
-    records = list(generate(spec))
+    records = playthrough_rows(generate(spec))
     # each cell's 40 playthroughs are contiguous, so global parity is parity
     # within the cell
-    return aggregate(records[0::2]), aggregate(records[1::2])
+    return aggregate(playthroughs(records[0::2])), aggregate(playthroughs(records[1::2]))
 
 
 def below_random(bits, median):

@@ -1,11 +1,12 @@
-"""The playthrough path end to end: synth's CSV text, the reader and the
-per-cell summary, each held to the form it replaced or to what it must
-give back."""
+"""The playthrough path end to end: synth's CSV text, the reader, the
+grouping into cells and the per-cell summary, each held to the form it
+replaced or to what it must give back."""
 
 import csv
 import io
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -13,9 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_ingest
+from conftest import playthrough_rows, playthroughs
 from infobench.cli import main
-from infobench.errors import ParseError
-from infobench.perf import _gaussian_stat, parse_records
+from infobench.errors import InputError, ParseError
+from infobench.perf import MetricKey, _gaussian_stat, aggregate, parse_records
 from infobench.synth import ARCHETYPE_CHOICES, SynthSpec, archetypes, generate
 
 
@@ -97,7 +99,7 @@ def playthrough_text(draw):
 @example(text=f"{HEADER}\n g ,g ,1,1\ng, ,2,0\n")
 def test_reader_matches_the_per_row_stripping_reader(text):
     expected = outcome(reference_ingest.parse_records, text)
-    assert outcome(parse_records, text) == expected
+    assert outcome(lambda stream: playthrough_rows(parse_records(stream)), text) == expected
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "playthroughs.csv"
         path.write_text(text, encoding="utf-8", newline="")
@@ -133,6 +135,84 @@ def test_gaussian_stat_is_bit_identical_to_the_generator_form(values):
     )
 
 
+def aggregate_outcome(fold, rows, allow_missing):
+    """The table's names and bytes, or the error's type, text and missing
+    cells; then the warning texts."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            table = fold(rows, allow_missing=allow_missing)
+            result = (table.agents, table.keys, table.means.tobytes(),
+                      table.stddevs.tobytes(), table.counts.tobytes())
+        except InputError as exc:
+            result = type(exc), str(exc), getattr(exc, "missing", None)
+    return result, [str(w.message) for w in caught]
+
+
+# one pool for both roles, so a name can be an agent and a problem
+CELL_NAMES = st.sampled_from(["a", "b", "g", "h"])
+# a cell holding 1e200 and -1e200 or 0.0 squares a deviation past the float range
+CELL_SCORES = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([-0.0, 5e-324, 1e200, -1e200]))
+
+
+@st.composite
+def shuffled_rows(draw):
+    """Rows of up to three agents x three problems, one to four per cell,
+    now and then with a cell or two left out, in shuffled order."""
+    agents = draw(st.lists(CELL_NAMES, min_size=1, max_size=3, unique=True))
+    problems = draw(st.lists(CELL_NAMES, min_size=1, max_size=3, unique=True))
+    cells = [(a, p) for a in agents for p in problems]
+    gone = draw(st.sets(st.sampled_from(cells), max_size=2))
+    rows = [
+        (a, p, draw(CELL_SCORES), draw(st.booleans()))
+        for a, p in cells if (a, p) not in gone for _ in range(draw(st.integers(1, 4)))
+    ]
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=shuffled_rows(), allow_missing=st.booleans())
+@example(rows=[("a", "a", 1.0, True), ("b", "a", 2.0, False), ("a", "b", 3.0, True),
+               ("b", "b", 4.0, False), ("a", "a", 5.0, False)], allow_missing=False)
+@example(rows=[("a", "g", 1e200, True), ("a", "g", -1e200, False)], allow_missing=False)
+@example(rows=[("a", "g", 1.0, True), ("b", "h", 2.0, False), ("a", "h", 3.0, True)],
+         allow_missing=True)
+@example(rows=[("a", "g", 1.0, True), ("b", "h", 2.0, False)], allow_missing=True)
+@example(rows=[], allow_missing=False)
+def test_aggregate_matches_the_per_row_dict_loop(rows, allow_missing):
+    expected = aggregate_outcome(reference_ingest.aggregate, rows, allow_missing)
+    by_codes = aggregate_outcome(lambda r, **kw: aggregate(playthroughs(r), **kw), rows,
+                                 allow_missing)
+    assert by_codes == expected
+
+
+def test_cell_codes_are_not_32_bit():
+    # 46,341 agents and one problem give 46,342 names, so the last agent's
+    # cell code 46,341 * 46,342 + 1 is above 2**31 - 1
+    n = 46_341
+    records = playthroughs((f"a{i:05d}", "g", float(i), i % 2 == 0) for i in range(n))
+    with pytest.warns(UserWarning, match="single playthrough"):
+        table = aggregate(records)
+    assert len(table.agents) == n
+    means, _ = table.column(MetricKey("g", "score"))
+    assert means.tolist() == [float(i) for i in range(n)]
+
+
+def test_aggregate_peak_memory_per_row():
+    spec = SynthSpec(27, archetypes("mixed", 20), samples_per_cell=200, seed=5)
+    records = generate(spec)
+    aggregate(records)  # the first call fills numpy's and Python's caches
+    tracemalloc.start()
+    try:
+        aggregate(records)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an int64 code, its sort order and a sorted score per row, with slack;
+    # a Python float per row in per-cell lists alone takes 32
+    assert peak / len(records) <= 30
+
+
 def retained_bytes(build):
     """What ``build()`` returns, and the bytes it still holds after."""
     tracemalloc.start()
@@ -153,8 +233,10 @@ def test_rows_share_one_str_per_name():
     stream = io.StringIO("\n".join(lines) + "\n", newline="")
     records, retained = retained_bytes(lambda: parse_records(stream))
     assert len(records) == 20_000
-    assert len({id(a) for a, *_ in records}) == 10
-    assert len({id(p) for _, p, *_ in records}) == 20
+    assert len(records.names) == 30
+    rows = playthrough_rows(records)
+    assert len({id(a) for a, *_ in rows}) == 10
+    assert len({id(p) for _, p, *_ in rows}) == 20
     # two int codes, a double and a byte per row, with the columns' slack;
     # a tuple per row in a list takes over 100
     assert retained / len(records) <= 24
@@ -168,16 +250,6 @@ def test_generated_rows_are_held_as_columns():
     assert retained / len(records) <= 24
 
 
-def test_rows_iterate_as_python_scalars():
-    # a numpy scalar would slip into synth's f-string writer as
-    # "np.float64(1.5)" under numpy 2
-    spec = SynthSpec(3, archetypes("mixed", 4), samples_per_cell=5, seed=1)
-    text = f"{HEADER}\n a ,g,1.5,WIN\nb, g ,-0.0,0\n"
-    for records in (generate(spec), parse_records(io.StringIO(text, newline=""))):
-        types = {tuple(type(x) for x in row) for row in records}
-        assert types == {(str, str, float, bool)}
-
-
 def hex_rows(records):
     return [(a, p, s.hex(), w) for a, p, s, w in records]
 
@@ -187,7 +259,8 @@ def hex_rows(records):
 @pytest.mark.parametrize("samples", [1, 6])
 def test_generate_draws_what_the_tuple_list_generator_drew(archetype, sigma, samples):
     spec = SynthSpec(4, archetypes(archetype, 5, sigma=sigma), samples, seed=11)
-    assert hex_rows(generate(spec)) == hex_rows(reference_ingest.generate(spec))
+    rows = playthrough_rows(generate(spec))
+    assert hex_rows(rows) == hex_rows(reference_ingest.generate(spec))
 
 
 def test_overflowing_squared_deviations_are_too_large_to_summarise(tmp_path, capsys):
@@ -202,14 +275,14 @@ def test_overflowing_squared_deviations_are_too_large_to_summarise(tmp_path, cap
 @pytest.mark.parametrize("archetype", ARCHETYPE_CHOICES)
 @pytest.mark.parametrize("sigma", [1.0, 1e300])
 def test_synth_csv_reads_back_as_generate(tmp_path, archetype, sigma):
-    # synth writes rows with f-strings, not csv.writer: this holds only if
+    # synth writes rows with a format string, not csv.writer: this holds only if
     # no name or float repr needs quoting
     argv = ("--agents", 3, "--problems", 5, "--samples", 4, "--seed", 7, "--sigma", sigma)
     assert run("synth", "--archetype", archetype, *argv, "--out", tmp_path) == 0
     with open(tmp_path / "playthroughs.csv", newline="", encoding="utf-8") as f:
         header, *rows = csv.reader(f)
     spec = SynthSpec(3, archetypes(archetype, 5, sigma=sigma), 4, 7)
-    records = list(generate(spec))
+    records = playthrough_rows(generate(spec))
     assert header == ["agent", "problem", "score", "win"]
     assert [(a, p, float(s), w == "1") for a, p, s, w in rows] == records
     assert all(float(s).hex() == r[2].hex() for (_, _, s, _), r in zip(rows, records))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cell, full_table
+from conftest import cell, full_table, playthrough_rows, playthroughs
 from infobench.errors import CompletenessError, InputError, ParseError
 from infobench.perf import (
     Measure,
@@ -34,7 +34,7 @@ def parse(text):
 class TestParseRecords:
     def test_direct_field_mapping(self):
         records = parse("agent,problem,score,win\na1,freeway,5.0,1\n")
-        assert list(records) == [("a1", "freeway", 5.0, True)]
+        assert playthrough_rows(records) == [("a1", "freeway", 5.0, True)]
 
     def test_nan_score_rejected_with_line_number(self):
         with pytest.raises(ParseError, match="line 2") as exc:
@@ -58,7 +58,7 @@ class TestParseRecords:
     )
     def test_win_tokens(self, token, expected):
         records = parse(f"agent,problem,score,win\na1,g,1.5,{token}\n")
-        assert list(records)[0][3] is expected
+        assert playthrough_rows(records)[0][3] is expected
 
     def test_bad_win_token(self):
         with pytest.raises(ParseError, match="line 2.*win value"):
@@ -85,7 +85,7 @@ class TestParseRecords:
 
     def test_blank_lines_skipped_and_order_kept(self):
         records = parse("agent,problem,score,win\na1,g,1.0,1\n\na2,g,2.0,0\n")
-        assert [agent for agent, _, _, _ in records] == ["a1", "a2"]
+        assert [agent for agent, _, _, _ in playthrough_rows(records)] == ["a1", "a2"]
 
     def test_unparseable_score(self):
         with pytest.raises(ParseError, match="score"):
@@ -117,7 +117,7 @@ def two_agent_records(scores_a, scores_b, problem="g"):
 class TestAggregate:
     def test_zero_one_scores(self):
         records = [rec("a1", "g", 0.0, False), rec("a1", "g", 1.0, True)]
-        table = aggregate(records)
+        table = aggregate(playthroughs(records))
         mean, stddev, count = cell(table, "a1", MetricKey("g", Measure.SCORE))
         assert mean == 0.5
         assert stddev == pytest.approx(math.sqrt(0.5), abs=1e-15)
@@ -126,7 +126,7 @@ class TestAggregate:
     def test_textbook_sample_stddev(self):
         values = [2, 4, 4, 4, 5, 5, 7, 9]
         records = [rec("a1", "g", float(v), True) for v in values]
-        table = aggregate(records)
+        table = aggregate(playthroughs(records))
         mean, stddev, _ = cell(table, "a1", MetricKey("g", Measure.SCORE))
         assert mean == 5.0
         assert stddev == pytest.approx(2.1380899352993951, abs=1e-12)
@@ -134,7 +134,7 @@ class TestAggregate:
     def test_all_wins_hits_the_floor(self):
         records = [rec("a1", "g", float(i), True) for i in range(4)]
         with pytest.warns(UserWarning, match=r"^1 cell\(s\) with zero .*: \(a1, g\) win$"):
-            table = aggregate(records, sigma_floor=1e-9)
+            table = aggregate(playthroughs(records), sigma_floor=1e-9)
         mean, stddev, _ = cell(table, "a1", MetricKey("g", Measure.WIN_RATE))
         assert mean == 1.0
         assert stddev == 1e-9
@@ -144,7 +144,7 @@ class TestAggregate:
         records = [rec(f"a{i:02d}", "g", 2.0, False) for i in range(10) for _ in range(3)]
         records += [rec("a11", "g", float(s), s > 0) for s in (-1, 1, 3)]
         with pytest.warns(UserWarning) as caught:
-            table = aggregate(records)
+            table = aggregate(playthroughs(records))
         [message] = [str(w.message) for w in caught]
         assert message.startswith("20 cell(s) with zero or sub-floor variance")
         assert "(a00, g) score, (a00, g) win, (a01, g) score" in message
@@ -153,7 +153,7 @@ class TestAggregate:
 
     def test_single_record_warns_and_floors(self):
         with pytest.warns(UserWarning, match="single playthrough"):
-            table = aggregate([rec("a1", "g", 3.0, True)])
+            table = aggregate(playthroughs([rec("a1", "g", 3.0, True)]))
         _, stddev, count = cell(table, "a1", MetricKey("g", Measure.SCORE))
         assert stddev == 1e-9
         assert count == 1
@@ -161,7 +161,7 @@ class TestAggregate:
     def test_single_playthrough_cells_share_one_counted_warning(self):
         records = [rec(f"a{i}", p, 1.0, True) for i in range(3) for p in ("g", "h")]
         with pytest.warns(UserWarning) as caught:
-            aggregate(records)
+            aggregate(playthroughs(records))
         [message] = [str(w.message) for w in caught]
         assert message.startswith("12 cell(s) with a single playthrough")
         assert message.endswith(": (a0, g) score, (a0, g) win, (a0, h) score, (a0, h) win, "
@@ -186,7 +186,7 @@ class TestAggregate:
             rec("a2", "g1", 1.0, True),
         ]
         with pytest.raises(CompletenessError, match=r"\(a2, g2\)") as exc:
-            aggregate(records)
+            aggregate(playthroughs(records))
         assert ("a2", "g2") in exc.value.missing
 
     def test_allow_missing_drops_uncovered_agents(self):
@@ -198,37 +198,27 @@ class TestAggregate:
             rec("a2", "g1", 1.0, True),
         ]
         with pytest.warns(UserWarning, match="dropping.*a2"):
-            table = aggregate(records, allow_missing=True)
+            table = aggregate(playthroughs(records), allow_missing=True)
         assert table.agents == ("a1",)
 
     def test_allow_missing_names_the_first_eight_dropped_agents(self):
         records = [rec("full", p, float(s), s > 0) for p in ("g1", "g2") for s in (0, 1)]
         records += [rec(f"a{i:02d}", "g1", 1.0, True) for i in range(11)]
         with pytest.warns(UserWarning) as caught:
-            table = aggregate(records, allow_missing=True)
+            table = aggregate(playthroughs(records), allow_missing=True)
         assert "dropping 11 agent(s) lacking full problem coverage: a00, a01, a02, a03, " \
             "a04, a05, a06, a07 and 3 more" in [str(w.message) for w in caught]
         assert table.agents == ("full",)
 
-    @pytest.mark.parametrize("won, lost", [(1, 0), (np.True_, np.False_), ("x", "")])
-    def test_wins_are_read_by_truthiness(self, won, lost):
-        outcomes = [(a, p, i, i % 2 == 0) for a in ("a1", "a2") for p in ("g1", "g2")
-                    for i in range(5)]
-        expected = aggregate([rec(a, p, float(i), w) for a, p, i, w in outcomes])
-        table = aggregate([rec(a, p, float(i), won if w else lost) for a, p, i, w in outcomes])
-        assert (table.agents, table.keys) == (expected.agents, expected.keys)
-        for got, want in ((table.means, expected.means), (table.stddevs, expected.stddevs),
-                          (table.counts, expected.counts)):
-            assert got.tobytes() == want.tobytes()
-
     def test_no_records(self):
         with pytest.raises(InputError):
-            aggregate([])
+            aggregate(playthroughs([]))
 
     @pytest.mark.parametrize("floor", [0.0, -1.0, float("nan")])
     def test_non_positive_sigma_floor(self, floor):
         with pytest.raises(InputError, match="sigma_floor must be"):
-            aggregate([rec("a1", "g", 1.0, True), rec("a1", "g", 2.0, False)], floor)
+            records = [rec("a1", "g", 1.0, True), rec("a1", "g", 2.0, False)]
+            aggregate(playthroughs(records), floor)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -241,10 +231,10 @@ class TestAggregate:
                     records.append(
                         rec(agent, problem, float(rng.normal()), bool(rng.random() < 0.5))
                     )
-        table = aggregate(records)
+        table = aggregate(playthroughs(records))
         shuffled = list(records)
         rng.shuffle(shuffled)
-        table2 = aggregate(shuffled)
+        table2 = aggregate(playthroughs(shuffled))
         assert table.agents == table2.agents
         assert table.keys == table2.keys
         assert np.array_equal(table.means, table2.means)
@@ -255,7 +245,7 @@ class TestAggregate:
     @settings(max_examples=60, deadline=None)
     def test_win_rate_bounds(self, wins):
         records = [rec("a1", "g", 1.0, w) for w in wins]
-        table = aggregate(records)
+        table = aggregate(playthroughs(records))
         mean, stddev, _ = cell(table, "a1", MetricKey("g", Measure.WIN_RATE))
         n = len(wins)
         assert 0.0 <= mean <= 1.0
@@ -265,8 +255,8 @@ class TestAggregate:
     def test_batch_merge_equals_concatenation(self):
         batch1 = two_agent_records([1, 2, 3], [4, 5, 6])
         batch2 = two_agent_records([7, 8], [9, 10])
-        merged = aggregate(batch1 + batch2)
-        concat = aggregate(list(batch1) + list(batch2))
+        merged = aggregate(playthroughs(batch1 + batch2))
+        concat = aggregate(playthroughs(list(batch1) + list(batch2)))
         assert np.array_equal(merged.means, concat.means)
         assert np.array_equal(merged.counts, concat.counts)
 
@@ -283,7 +273,7 @@ class TestPerformanceTable:
             rec("alpha", "alpha", 1.0, True),
             rec("alpha", "alpha", 2.0, True),
         ]
-        table = aggregate(records)
+        table = aggregate(playthroughs(records))
         assert table.agents == ("alpha", "zeta")
         assert table.problems == ("alpha", "beta")
         assert table.keys[0] == MetricKey("alpha", Measure.SCORE)
@@ -329,12 +319,12 @@ class TestPerformanceTable:
             MetricKey("g", "draws")
 
     def test_arrays_are_read_only(self):
-        table = aggregate(two_agent_records([1, 2], [3, 4]))
+        table = aggregate(playthroughs(two_agent_records([1, 2], [3, 4])))
         with pytest.raises(ValueError):
             table.means[0, 0] = 99.0
 
     def test_unknown_lookups(self):
-        table = aggregate(two_agent_records([1, 2], [3, 4]))
+        table = aggregate(playthroughs(two_agent_records([1, 2], [3, 4])))
         with pytest.raises(CompletenessError):
             table.key_index(MetricKey("missing", Measure.SCORE))
 
@@ -343,7 +333,7 @@ class TestStatsIO:
     @pytest.fixture
     def table(self):
         records = two_agent_records([1.0, 2.5, 4.0], [0.5, 0.5, 9.5])
-        return aggregate(records)
+        return aggregate(playthroughs(records))
 
     def test_csv_round_trip(self, table):
         buf = io.StringIO()
