@@ -166,12 +166,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _gain_rows(table: PerformanceTable, noise: str) -> list[dict]:
-    rows = []
-    for problem in table.problems:
-        row = {"problem": problem}
-        for mode, bits in problem_gains(table, problem, noise).items():
-            row[f"{mode}_bits"] = bits
-        rows.append(row)
+    header = ["problem", *(f"{mode}_bits" for mode in SELECTION_MODES)]
+    gains = problem_gains(table, noise)
+    columns = zip(table.problems, *(gains[mode].tolist() for mode in SELECTION_MODES))
+    rows = [dict(zip(header, values)) for values in columns]
     rows.sort(key=lambda r: (-r["combined_bits"], r["problem"]))
     return rows
 

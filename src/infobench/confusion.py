@@ -93,8 +93,9 @@ def log_weight_stack(
     the ``w``-th key of bundle ``b``.  Every bundle has the same width.
 
     Added in order to a running sum they give ``log_weight_matrix`` over
-    the keys bit for bit, so a caller that scores many key sets sharing
-    keys can sum these instead of recomputing every term.  Each is
+    the keys bit for bit, so ``infogain.stack_gains`` scores many key sets
+    sharing keys by summing these instead of recomputing every term; a
+    slice of the first axis scores a prefix of every bundle.  Each is
     ``log_weight_matrix`` over the one key, so the term counts of
     perfbench's tracer include them.
     """

@@ -36,9 +36,9 @@ SELECTION_MODES = ("win", "score", "combined")
 
 DEFAULT_MODE = "combined"
 
-# greedy scores its candidates in chunks of at most this many log weights
-# (256 KiB of float64), or of one candidate when its n x n is larger, so
-# each chunk's passes stay in cache
+# stack_gains scores its bundles in chunks of at most this many log weights
+# (256 KiB of float64), or of one bundle when its n x n is larger, so each
+# chunk's passes stay in cache
 CHUNK_ELEMENTS = 2**15
 
 
@@ -78,21 +78,44 @@ def metric_keys_for(problem: str, mode: str) -> tuple[MetricKey, ...]:
     raise InputError(f"unknown mode {mode!r}, expected one of {SELECTION_MODES}")
 
 
-def problem_gains(
-    table: PerformanceTable, problem: str, noise: str = DEFAULT_NOISE
-) -> dict[str, float]:
-    """Gain in bits of one problem under each selection mode.
+def stack_gains(base: np.ndarray, stack: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Gain in bits of ``base`` plus each bundle ``ids`` picks from a
+    ``log_weight_stack``, its terms added in key order.
 
-    The win and score terms are computed once; ``combined`` adds the same
-    two terms in the order ``info_gain_set`` would, so all three gains
-    equal its results bit for bit.
+    The bundles are scored in chunks of at most ``CHUNK_ELEMENTS`` log
+    weights, or of one bundle when its n x n is larger.  A sum that
+    overflows stays non-finite, and ``gain_bits`` rejects it.
     """
-    win, score = log_weight_stack(table, [metric_keys_for(problem, "combined")], noise)[:, 0]
+    n = stack.shape[-1]
+    per_chunk = max(1, CHUNK_ELEMENTS // (n * n))
+    gains = []
     with np.errstate(over="ignore", invalid="ignore"):
-        combined = win + score  # before gain_bits overwrites win and score
+        for start in range(0, len(ids), per_chunk):
+            chunk = ids[start:start + per_chunk]
+            log_weights = base + stack[0, chunk]
+            for terms in stack[1:]:
+                log_weights += terms[chunk]
+            gains.append(gain_bits(log_weights))
+    return np.concatenate(gains)
+
+
+def problem_gains(table: PerformanceTable, noise: str = DEFAULT_NOISE) -> dict[str, np.ndarray]:
+    """Gain in bits of every problem, in ``table.problems`` order, under
+    each selection mode.
+
+    Each problem's win and score terms are computed once, into one
+    ``log_weight_stack``; ``win`` scores its first layer, ``score`` its
+    second and ``combined`` both, added in the order ``info_gain_set``
+    would, so every gain equals its result bit for bit.
+    """
+    stack = log_weight_stack(
+        table, [metric_keys_for(problem, "combined") for problem in table.problems], noise
+    )
+    base = np.zeros(stack.shape[2:])
+    every = np.arange(len(table.problems))
     return {
-        mode: float(gain_bits(log_weights))
-        for mode, log_weights in zip(SELECTION_MODES, (win, score, combined))
+        mode: stack_gains(base, terms, every)
+        for mode, terms in zip(SELECTION_MODES, (stack[:1], stack[1:], stack))
     }
 
 
@@ -140,33 +163,18 @@ class SelectionReport:
         return self.steps[-1].cumulative_bits if self.steps else 0.0
 
 
-def _argmax_candidate(gains: dict[str, float], eps_gain: float) -> str:
-    """Deterministic argmax: largest gain after rounding to the gain
-    resolution, ties broken by lexicographically smallest identifier."""
-    return min(gains, key=lambda c: (-round(gains[c] / eps_gain), c))
-
-
 def _candidate_units(
     table: PerformanceTable, mode: str, per_key: bool
-) -> dict[str, tuple[MetricKey, ...]]:
-    units: dict[str, tuple[MetricKey, ...]] = {}
+) -> list[tuple[str, tuple[MetricKey, ...]]]:
+    """Each candidate's identifier and metric keys, sorted by identifier."""
+    units = []
     for problem in table.problems:
         bundle = metric_keys_for(problem, mode)
         if per_key:
-            for k in bundle:
-                units[f"{k.problem}:{k.measure.value}"] = (k,)
+            units += [(f"{k.problem}:{k.measure.value}", (k,)) for k in bundle]
         else:
-            units[problem] = bundle
-    return units
-
-
-def _chunk_gains(selected: np.ndarray, stack: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Gain in bits of the selected set's log weights plus each candidate
-    ``ids`` picks from ``log_weight_stack``, its terms added in key order."""
-    log_weights = selected + stack[0, ids]
-    for terms in stack[1:]:
-        log_weights += terms[ids]
-    return gain_bits(log_weights)
+            units.append((problem, bundle))
+    return sorted(units)
 
 
 def greedy_select(
@@ -194,52 +202,46 @@ def greedy_select(
     # gains are ranked as multiples of eps_gain, and no gain exceeds log2(n)
     if not math.isfinite(math.log2(n) / eps_gain):
         raise InputError(f"eps_gain must be at least log2({n}) / max float, got {eps_gain:g}")
-    units = _candidate_units(table, mode, per_key)
-    if k > len(units):
+    names, bundles = zip(*_candidate_units(table, mode, per_key))
+    if k > len(names):
         warnings.warn(
-            f"k={k} exceeds the {len(units)} available candidates; selecting all",
+            f"k={k} exceeds the {len(names)} available candidates; selecting all",
             stacklevel=2,
         )
-        k = len(units)
+        k = len(names)
 
-    remaining = sorted(units)
     # each key's term is computed once; a candidate's log weights are the
     # selected set's running sum plus its own terms, added in the order
     # info_gain_set(selected + candidate) would, so gains are bit-identical
-    stack = log_weight_stack(table, [units[c] for c in remaining], noise)
-    column = {c: i for i, c in enumerate(remaining)}
-    per_chunk = max(1, CHUNK_ELEMENTS // (n * n))
+    stack = log_weight_stack(table, bundles, noise)
+    remaining = np.arange(len(names))  # indices into names, so in sorted order
     selected_log_weights = np.zeros((n, n))
     steps: list[SelectionStep] = []
     negatives: list[NegativeMarginal] = []
     cumulative = 0.0
     stop_reason = None
 
-    # a sum that overflows stays non-finite, and gain_bits rejects it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, k + 1):
-            ids = np.array([column[c] for c in remaining])
-            bits = np.concatenate([
-                _chunk_gains(selected_log_weights, stack, ids[start:start + per_chunk])
-                for start in range(0, len(ids), per_chunk)
-            ])
-            totals = dict(zip(remaining, bits.tolist()))
-            gains = {c: totals[c] - cumulative for c in remaining}
-            for c in sorted(gains):
-                if gains[c] < -eps_gain:
-                    negatives.append(NegativeMarginal(step, c, gains[c]))
-            best = _argmax_candidate(gains, eps_gain)
-            if gains[best] <= eps_gain:
-                stop_reason = (
-                    f"stopped at step {step}: no remaining candidate adds more than "
-                    f"{eps_gain:g} bits (best was {best!r} at {gains[best]:.3g} bits)"
-                )
-                break
-            for term in stack[:, column[best]]:
+    for step in range(1, k + 1):
+        totals = stack_gains(selected_log_weights, stack, remaining)
+        gains = totals - cumulative
+        for i in np.flatnonzero(gains < -eps_gain):
+            negatives.append(NegativeMarginal(step, names[remaining[i]], float(gains[i])))
+        # gains are ranked in multiples of eps_gain; the first maximum is
+        # the smallest identifier
+        pick = int(np.argmax(np.rint(gains / eps_gain)))
+        best = names[remaining[pick]]
+        if gains[pick] <= eps_gain:
+            stop_reason = (
+                f"stopped at step {step}: no remaining candidate adds more than "
+                f"{eps_gain:g} bits (best was {best!r} at {gains[pick]:.3g} bits)"
+            )
+            break
+        with np.errstate(over="ignore", invalid="ignore"):
+            for term in stack[:, remaining[pick]]:
                 selected_log_weights += term
-            steps.append(SelectionStep(best, totals[best] - cumulative, totals[best]))
-            cumulative = totals[best]
-            remaining.remove(best)
+        steps.append(SelectionStep(best, float(gains[pick]), float(totals[pick])))
+        cumulative = float(totals[pick])
+        remaining = np.delete(remaining, pick)
 
     return SelectionReport(
         mode="per-key" if per_key else mode,
@@ -273,11 +275,10 @@ def subadditivity_audit(
     correlated measures can sharpen each other), hence an audit rather
     than an assertion.
     """
-    violations = []
-    for problem in table.problems:
-        gains = problem_gains(table, problem, noise)
-        if gains["combined"] - (gains["win"] + gains["score"]) > tol:
-            violations.append(
-                SubadditivityViolation(problem, gains["win"], gains["score"], gains["combined"])
-            )
-    return violations
+    gains = problem_gains(table, noise)
+    win, score, combined = (gains[mode].tolist() for mode in SELECTION_MODES)
+    return [
+        SubadditivityViolation(problem, w, s, c)
+        for problem, w, s, c in zip(table.problems, win, score, combined)
+        if c - (w + s) > tol
+    ]

@@ -242,6 +242,20 @@ class TestExitCodes:
         assert line.startswith("warning: 24 cell(s) with a single playthrough")
         assert "perf.py:" not in line
 
+    @pytest.mark.parametrize("command", ["info-gain", "select"])
+    def test_missing_cell_is_named_before_non_finite_weights(self, tmp_path, capsys, command):
+        # "a" squares to non-finite weights, and "b" has no score cell
+        stats = tmp_path / "stats.csv"
+        write_stats_rows(stats, [
+            ["a1", "a", "win", 0.0, 1e200, 20], ["a1", "a", "score", 0.0, 1e200, 20],
+            ["a2", "a", "win", 1.0, 1e200, 20], ["a2", "a", "score", 1.0, 1e200, 20],
+            ["a1", "b", "win", 0.2, 0.1, 20], ["a2", "b", "win", 0.8, 0.1, 20],
+        ])
+        out = tmp_path / "out"
+        assert run(command, "--stats", stats, "--out", out) == 2
+        assert "error: no cell for problem 'b' measure 'score'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_stddev_stats_file_is_floored_with_a_warning(self, tmp_path):
         stats = tmp_path / "stats.csv"
         stats.write_text("agent,problem,measure,mean,stddev,count\n"

@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 import sys
@@ -11,10 +10,11 @@ from conftest import full_table, score_table
 from infobench import infogain
 from infobench.errors import DomainError, InputError
 from infobench.infogain import (
-    _argmax_candidate,
     greedy_select,
     info_gain_set,
     metric_keys_for,
+    problem_gains,
+    subadditivity_audit,
 )
 from infobench.perf import Measure, MetricKey
 from reference_oracle import oracle_best_subset, oracle_greedy_select, oracle_info_gain
@@ -177,13 +177,25 @@ class TestGreedySelect:
         b = greedy_select(table, 3)
         assert a == b
 
-    def test_argmax_is_insertion_order_independent(self):
-        gains = {"p3": 0.25, "p1": 0.5, "p2": 0.5}
-        items = list(gains.items())
-        winners = set()
-        for perm in itertools.permutations(items):
-            winners.add(_argmax_candidate(dict(perm), 1e-9))
-        assert winners == {"p1"}
+    def test_exact_twins_break_the_tie_by_the_smaller_name(self):
+        twin = ((0.0, 1.0, 3.0), (1.0, 1.0, 1.0))
+        # listed in reverse order, with a weaker third problem
+        table = score_table({"p3": ((0.0, 0.1, 0.2), (1.0, 1.0, 1.0)), "p2": twin, "p1": twin})
+        assert greedy_select(table, 1, "score").selected == ("p1",)
+
+    def test_gains_within_half_the_resolution_tie_by_the_smaller_name(self):
+        # "a" is a shade noisier than "b", so its raw gain is lower
+        table = score_table({"b": ((0.0, 1.0), (1.0, 1.0)), "a": ((0.0, 1.0), (1.01, 1.01))})
+        low = info_gain_set(table, metric_keys_for("a", "score"))
+        high = info_gain_set(table, metric_keys_for("b", "score"))
+        assert 0 < high - low
+        # both gains lie within an eighth of eps_gain of the same multiple m
+        m = max(2, math.floor((low + high) / (8 * (high - low))))
+        eps_gain = (low + high) / (2 * m)
+        assert high - low < eps_gain / 2
+        report = greedy_select(table, 1, "score", eps_gain=eps_gain)
+        assert report.selected == ("a",)
+        assert report.steps[0].marginal_bits == low
 
     def test_invalid_k(self):
         with pytest.raises(ValueError, match="k must be"):
@@ -259,6 +271,19 @@ class TestChunkedScoring:
         for elements in (one_per_chunk, all_in_one):
             monkeypatch.setattr(infogain, "CHUNK_ELEMENTS", elements)
             assert greedy_select(table, 6, mode, per_key=per_key) == default
+
+    @pytest.mark.parametrize("elements", [None, 1, N_AGENTS**2 * 2 * N_PROBLEMS])
+    def test_problem_gains_equal_info_gain_set_at_any_chunk_size(self, monkeypatch, elements):
+        table = random_table(self.N_AGENTS, self.N_PROBLEMS, seed=11)
+        expected_violations = subadditivity_audit(table)
+        if elements is not None:
+            monkeypatch.setattr(infogain, "CHUNK_ELEMENTS", elements)
+        gains = problem_gains(table)
+        for mode in ("win", "score", "combined"):
+            assert gains[mode].tolist() == [
+                info_gain_set(table, metric_keys_for(problem, mode)) for problem in table.problems
+            ]
+        assert subadditivity_audit(table) == expected_violations
 
     def test_non_finite_weight_in_a_later_chunk_is_a_domain_error(self, monkeypatch):
         problems = random_problems(self.N_AGENTS, self.N_PROBLEMS, seed=11)

@@ -252,14 +252,6 @@ class TestAggregate:
         # Bessel-corrected Bernoulli bound: sqrt(p(1-p) * n/(n-1)) maxes at p=1/2
         assert stddev <= 0.5 * math.sqrt(n / (n - 1)) + 1e-9
 
-    def test_batch_merge_equals_concatenation(self):
-        batch1 = two_agent_records([1, 2, 3], [4, 5, 6])
-        batch2 = two_agent_records([7, 8], [9, 10])
-        merged = aggregate(playthroughs(batch1 + batch2))
-        concat = aggregate(playthroughs(list(batch1) + list(batch2)))
-        assert np.array_equal(merged.means, concat.means)
-        assert np.array_equal(merged.counts, concat.counts)
-
 
 class TestPerformanceTable:
     def test_orders_are_lexicographic(self):
