@@ -204,26 +204,22 @@ def cluster(
     n = len(kept)
     merges = _ward_linkage(np.maximum(dist, 0.0))
 
-    # merges are sorted by height and each one's children precede it, so
-    # labelling down from the last merge at or below the threshold joins
-    # each leaf to its highest such ancestor, as fcluster's distance cut does
-    label = list(range(2 * n - 1))
-    cut = sum(1 for m in merges if m[2] <= threshold)
-    for k in reversed(range(cut)):
-        a, b = merges[k][:2]
-        label[a] = label[b] = label[n + k]
-    # pre-order walk from the root, left child first
-    order, stack = [], [2 * n - 2]
+    # pre-order walk from the root, left child first; each entry carries the
+    # highest merge at or below the threshold met on the way down, and merges
+    # are sorted by height, so a leaf joining that merge's group (or its own,
+    # under none) is fcluster's distance cut
+    order, stack = [], [(2 * n - 2, None)]
+    groups: dict[int, list[str]] = {}
     while stack:
-        node = stack.pop()
+        node, top = stack.pop()
         if node < n:
             order.append(node)
+            groups.setdefault(node if top is None else top, []).append(kept[node])
         else:
-            stack.extend(merges[node - n][1::-1])
-
-    by_label: dict[int, list[str]] = {}
-    for i in order:
-        by_label.setdefault(label[i], []).append(kept[i])
-    clusters = tuple(tuple(members) for members in by_label.values())
+            a, b, height = merges[node - n][:3]
+            if top is None and height <= threshold:
+                top = node
+            stack += ((b, top), (a, top))
+    clusters = tuple(map(tuple, groups.values()))
     dend = Dendrogram(tuple(map(tuple, merges)), tuple(kept[i] for i in order))
     return ClusterResult(dend, clusters, excluded)

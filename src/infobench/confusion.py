@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -72,17 +72,23 @@ def log_weight_term(table: PerformanceTable, key: MetricKey, noise: str) -> np.n
 def log_weight_matrix(
     table: PerformanceTable, keys: Sequence[MetricKey], noise: str = DEFAULT_NOISE
 ) -> np.ndarray:
-    """Unnormalized log belief weights, entry (i, j) for observed i, candidate j.
-
-    The terms are added in key order; a sum that overflows stays
-    non-finite for the same check as an overflowing term.
-    """
+    """Unnormalized log belief weights, entry (i, j) for observed i, candidate j:
+    each key's ``log_weight_term`` added in key order by ``add_terms``."""
     keys = validate_metric_keys(table, keys)
     n = len(table.agents)
-    total = np.zeros((n, n))
+    return add_terms(np.zeros((n, n)), (log_weight_term(table, key, noise) for key in keys))
+
+
+def add_terms(base: np.ndarray, terms: Iterable[np.ndarray]) -> np.ndarray:
+    """``base`` plus each of ``terms`` in turn, as a new array: every sum of
+    log-weight terms is taken here, so sums of the same terms in the same
+    order agree bit for bit.  An overflowing sum stays non-finite for
+    ``_beliefs`` to reject, as an overflowing term does."""
+    terms = iter(terms)
     with np.errstate(over="ignore", invalid="ignore"):
-        for key in keys:
-            total += log_weight_term(table, key, noise)
+        total = base + next(terms, 0.0)
+        for term in terms:
+            total += term
     return total
 
 
@@ -92,7 +98,7 @@ def log_weight_stack(
     """Each key's log weights on its own, in one array: entry ``[w, b]`` is
     the ``w``-th key of bundle ``b``.  Every bundle has the same width.
 
-    Added in order to a running sum they give ``log_weight_matrix`` over
+    Added in order by ``add_terms`` they give ``log_weight_matrix`` over
     the keys bit for bit, so ``infogain.stack_gains`` scores many key sets
     sharing keys by summing these instead of recomputing every term; a
     slice of the first axis scores a prefix of every bundle.  Each is
@@ -177,15 +183,20 @@ def _beliefs(log_weights: np.ndarray) -> np.ndarray:
     return softmax_rows(log_weights)
 
 
+def bits(probs: np.ndarray) -> np.ndarray:
+    """Mutual information in bits of each ``n x n`` channel of shape
+    ``(..., n, n)`` under a uniform prior: ``log2(n)`` minus the mean row
+    entropy."""
+    return math.log2(probs.shape[-1]) - row_entropies_bits(probs).mean(axis=-1)
+
+
 def gain_bits(log_weights: np.ndarray) -> np.ndarray:
     """Information gain in bits of each ``n x n`` slice of log belief
-    weights of shape ``(..., n, n)``: ``log2(n)`` minus the mean row
-    entropy of the beliefs.
+    weights of shape ``(..., n, n)``: the ``bits`` of their beliefs.
 
     Works in place: ``log_weights`` is left holding the probabilities.
     """
-    entropies = row_entropies_bits(_beliefs(log_weights))
-    return math.log2(log_weights.shape[-1]) - entropies.mean(axis=-1)
+    return bits(_beliefs(log_weights))
 
 
 def confusion(

@@ -20,12 +20,13 @@ import numpy as np
 from .confusion import (
     DEFAULT_NOISE,
     ConfusionMatrix,
+    add_terms,
+    bits,
     check_row_stochastic,
     confusion,  # noqa: F401  (unused here; perfbench/tracing.py wraps infogain.confusion)
     gain_bits,
     log_weight_matrix,
     log_weight_stack,
-    row_entropies_bits,
 )
 from .errors import InputError
 from .perf import Measure, MetricKey, PerformanceTable
@@ -45,16 +46,14 @@ CHUNK_ELEMENTS = 2**15
 def mutual_information(matrix: ConfusionMatrix | np.ndarray) -> float:
     """Bits of information one observation yields about the agent identity.
 
-    Accepts a ConfusionMatrix or a raw row-stochastic array.  Equal to
-    ``log2(n) - mean(row entropy)`` under the uniform agent prior.
+    Accepts a ConfusionMatrix or a raw array, checked row-stochastic
+    either way; the ``bits`` of that channel under a uniform agent prior.
     """
     if isinstance(matrix, ConfusionMatrix):
-        probs = matrix.probs  # validated when the matrix was built
-    else:
-        probs = np.asarray(matrix, dtype=float)
-        check_row_stochastic(probs)
-    n = probs.shape[0]
-    return math.log2(n) - float(np.mean(row_entropies_bits(probs)))
+        matrix = matrix.probs
+    probs = np.asarray(matrix, dtype=float)
+    check_row_stochastic(probs)
+    return float(bits(probs))
 
 
 def info_gain_set(
@@ -80,23 +79,17 @@ def metric_keys_for(problem: str, mode: str) -> tuple[MetricKey, ...]:
 
 def stack_gains(base: np.ndarray, stack: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Gain in bits of ``base`` plus each bundle ``ids`` picks from a
-    ``log_weight_stack``, its terms added in key order.
+    ``log_weight_stack``, its terms added in key order by ``add_terms``.
 
     The bundles are scored in chunks of at most ``CHUNK_ELEMENTS`` log
-    weights, or of one bundle when its n x n is larger.  A sum that
-    overflows stays non-finite, and ``gain_bits`` rejects it.
+    weights, or of one bundle when its n x n is larger.
     """
     n = stack.shape[-1]
     per_chunk = max(1, CHUNK_ELEMENTS // (n * n))
-    gains = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(ids), per_chunk):
-            chunk = ids[start:start + per_chunk]
-            log_weights = base + stack[0, chunk]
-            for terms in stack[1:]:
-                log_weights += terms[chunk]
-            gains.append(gain_bits(log_weights))
-    return np.concatenate(gains)
+    chunks = (ids[start:start + per_chunk] for start in range(0, len(ids), per_chunk))
+    return np.concatenate(
+        [gain_bits(add_terms(base, (terms[chunk] for terms in stack))) for chunk in chunks]
+    )
 
 
 def problem_gains(table: PerformanceTable, noise: str = DEFAULT_NOISE) -> dict[str, np.ndarray]:
@@ -236,9 +229,7 @@ def greedy_select(
                 f"{eps_gain:g} bits (best was {best!r} at {gains[pick]:.3g} bits)"
             )
             break
-        with np.errstate(over="ignore", invalid="ignore"):
-            for term in stack[:, remaining[pick]]:
-                selected_log_weights += term
+        selected_log_weights = add_terms(selected_log_weights, stack[:, remaining[pick]])
         steps.append(SelectionStep(best, float(gains[pick]), float(totals[pick])))
         cumulative = float(totals[pick])
         remaining = np.delete(remaining, pick)
@@ -264,7 +255,7 @@ class SubadditivityViolation:
 
 
 def subadditivity_audit(
-    table: PerformanceTable, noise: str = DEFAULT_NOISE, tol: float = EPS_GAIN
+    table: PerformanceTable, noise: str = DEFAULT_NOISE
 ) -> list[SubadditivityViolation]:
     """Report problems whose combined gain exceeds the sum of the win-only
     and score-only gains.
@@ -280,5 +271,5 @@ def subadditivity_audit(
     return [
         SubadditivityViolation(problem, w, s, c)
         for problem, w, s, c in zip(table.problems, win, score, combined)
-        if c - (w + s) > tol
+        if c - (w + s) > EPS_GAIN
     ]

@@ -459,6 +459,22 @@ class TestExitCodes:
         assert "error: belief weights are not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_sum_of_finite_terms_exits_1_without_output(self, tmp_path, capsys):
+        # each measure's terms are finite, so one measure alone scores; the
+        # win and score terms of "g" together overflow
+        stats = tmp_path / "stats.csv"
+        write_stats_rows(stats, [[agent, "g", measure, mean, 0.1, 10]
+                                 for agent, mean in (("a0", 0.0), ("a1", 2.83e153))
+                                 for measure in ("win", "score")])
+        out = tmp_path / "out"
+        for argv in (["info-gain"], ["select"], ["confusion", "--problems", "g"]):
+            assert run(*argv, "--stats", stats, "--out", out) == 1
+            assert not out.exists()
+        assert capsys.readouterr().err.count("error: belief weights are not finite") == 3
+        assert run("select", "--stats", stats, "--metric", "win", "--out", out / "win") == 0
+        assert run("confusion", "--stats", stats, "--problems", "g", "--metric", "score",
+                   "--out", out / "score") == 0
+
     def test_correlate_domain_error_on_second_measure_writes_nothing(self, tmp_path, capsys):
         # win rates correlate, but every score mean is 5.0, so the score
         # measure has no defined correlation to cluster

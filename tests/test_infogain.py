@@ -13,12 +13,13 @@ from conftest import (
     score_table,
 )
 from infobench.confusion import confusion
-from infobench.errors import CompletenessError, InfobenchError
+from infobench.errors import CompletenessError, DomainError, InfobenchError
 from infobench.infogain import (
     greedy_select,
     info_gain_set,
     metric_keys_for,
     mutual_information,
+    problem_gains,
     subadditivity_audit,
 )
 from infobench.perf import Measure, MetricKey
@@ -174,6 +175,24 @@ class TestInfoGainCombined:
             info_gain_set(table, metric_keys_for("g", "combined"))
         with pytest.raises(CompletenessError, match=missing):
             greedy_select(table, 1, "combined")
+
+    def test_overflowing_sum_of_finite_terms_is_a_domain_error(self):
+        # each key's off-diagonal term is -(2.83e153)^2 / 0.08 = -1.0011e308,
+        # finite, so one key gives 1 bit; the win and score terms together
+        # overflow to -inf, which must not read as a gain
+        table = full_table({"g": {measure: ((0.0, 2.83e153), (0.1, 0.1))
+                                  for measure in ("win", "score")}})
+        win = MetricKey("g", Measure.WIN_RATE)
+        assert info_gain_set(table, [win]) == 1.0
+        combined = metric_keys_for("g", "combined")
+        for scored in (
+            lambda: info_gain_set(table, combined),
+            lambda: problem_gains(table),
+            lambda: greedy_select(table, 1),
+            lambda: confusion(table, combined),
+        ):
+            with pytest.raises(DomainError, match="not finite"):
+                scored()
 
     def test_metric_keys_for_modes(self):
         assert metric_keys_for("p", "win") == (MetricKey("p", Measure.WIN_RATE),)

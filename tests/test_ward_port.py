@@ -73,6 +73,10 @@ def correlations(draw):
 # every distance tied: the chain's tie rules alone decide the tree
 @example(grid_correlation(2, [4]), 0.8)
 @example(grid_correlation(40, [4] * 780), 0.8)
+# the threshold equals a merge height
+@example(grid_correlation(3, [1, 2, 2]), 0.25)
+# two merges sit at the threshold, and p00 joins the upper one's group
+@example(grid_correlation(4, [1, 1, 4, 1, 4, 4]), 0.25)
 @settings(max_examples=150, deadline=None)
 def test_cluster_matches_scipy(corr, threshold):
     result = cluster(corr, threshold)
