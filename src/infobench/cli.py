@@ -16,8 +16,6 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .cluster import DEFAULT_THRESHOLD, cluster, correlation_matrix
 from .confusion import DEFAULT_NOISE, NOISE_MODES, confusion
@@ -113,26 +111,37 @@ def _config_defaults(command: argparse.ArgumentParser, config: dict[str, str]) -
 
 
 # ---------------------------------------------------------------------------
-# Output helpers
+# Output
 # ---------------------------------------------------------------------------
 
 
-def _outdir(args: argparse.Namespace) -> Path:
+def _write_files(args: argparse.Namespace, files) -> None:
+    """Write each ``(name, write)`` of ``files`` into ``--out``, where
+    ``write(f)`` fills the open text file.  A .csv, .json or .svg file
+    whose format ``--format`` leaves out is skipped; any other file, and
+    every file of a command without ``--format``, is written.  Commands
+    call this once, after computing everything, so an error leaves no
+    files and no ``--out``."""
+    formats = getattr(args, "formats", ALL_FORMATS)
     args.out.mkdir(parents=True, exist_ok=True)
-    return args.out
+    for name, write in files:
+        suffix = name.rpartition(".")[2]
+        if suffix in ALL_FORMATS and suffix not in formats:
+            continue
+        path = args.out / name
+        with open(path, "w", newline="", encoding="utf-8") as f:
+            write(f)
+        print(f"wrote {path}")
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8")
-    print(f"wrote {path}")
+def _csv(f, header, rows) -> None:
+    w = csv.writer(f, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-    print(f"wrote {path}")
+def _json(f, doc) -> None:
+    f.write(dumps_canonical_json(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -143,16 +152,11 @@ def _write_csv(path: Path, header, rows) -> None:
 def cmd_ingest(args: argparse.Namespace) -> int:
     records = parse_records_path(args.input)
     table = aggregate(records, args.sigma_floor, allow_missing=args.allow_missing)
-    out = _outdir(args)
-    if "csv" in args.formats:
-        with open(out / "stats.csv", "w", newline="", encoding="utf-8") as f:
-            write_stats_csv(table, f)
-        print(f"wrote {out / 'stats.csv'}")
-    if "json" in args.formats:
-        _write_text(out / "stats.json", dumps_canonical_json(stats_json_document(table)))
-
-    counts = np.asarray(table.counts)
-    per_pair = counts[:, :: 2]  # one column per problem (win/score share the count)
+    _write_files(args, [
+        ("stats.csv", lambda f: write_stats_csv(table, f)),
+        ("stats.json", lambda f: _json(f, stats_json_document(table))),
+    ])
+    per_pair = table.counts[:, :: 2]  # one column per problem (win/score share the count)
     print(f"agents:   {len(table.agents)}")
     print(f"problems: {len(table.problems)}")
     print(f"records:  {len(records)}")
@@ -177,11 +181,9 @@ def _gain_rows(table: PerformanceTable, noise: str) -> list[dict]:
 def cmd_info_gain(args: argparse.Namespace) -> int:
     table = load_stats(args.stats)
     rows = _gain_rows(table, args.noise)
-    out = _outdir(args)
-    if "csv" in args.formats:
-        _write_csv(out / "info_gain.csv", rows[0].keys(), (r.values() for r in rows))
-    if "json" in args.formats:
-        doc = {
+    _write_files(args, [
+        ("info_gain.csv", lambda f: _csv(f, rows[0].keys(), (r.values() for r in rows))),
+        ("info_gain.json", lambda f: _json(f, {
             "noise": args.noise,
             "gains": rows,
             "ranking_by": {
@@ -191,8 +193,8 @@ def cmd_info_gain(args: argparse.Namespace) -> int:
                 ]
                 for mode in SELECTION_MODES
             },
-        }
-        _write_text(out / "info_gain.json", dumps_canonical_json(doc))
+        })),
+    ])
     top = rows[: min(5, len(rows))]
     print("top problems by combined gain:")
     for r in top:
@@ -232,11 +234,10 @@ def cmd_select(args: argparse.Namespace) -> int:
         dict(zip(header, (rank, s.problem, s.marginal_bits, s.cumulative_bits)))
         for rank, s in enumerate(report.steps, start=1)
     ]
-    out = _outdir(args)
-    if "csv" in args.formats:
-        _write_csv(out / "selection.csv", header, (s.values() for s in steps))
-    if "json" in args.formats:
-        doc = {
+    text = _selection_text(report)
+    _write_files(args, [
+        ("selection.csv", lambda f: _csv(f, header, (s.values() for s in steps))),
+        ("selection.json", lambda f: _json(f, {
             "mode": report.mode,
             "noise": args.noise,
             "steps": steps,
@@ -246,50 +247,49 @@ def cmd_select(args: argparse.Namespace) -> int:
                 {"step": n.step, "problem": n.problem, "marginal_bits": n.marginal_bits}
                 for n in report.negative_marginals
             ],
-        }
-        _write_text(out / "selection.json", dumps_canonical_json(doc))
-    text = _selection_text(report)
-    _write_text(out / "selection.txt", text)
+        })),
+        ("selection.txt", lambda f: f.write(text)),
+    ])
     print(text, end="")
     return 0
 
 
+def _matrix(corr) -> list[list]:
+    # None marks an undefined entry: JSON null, an empty CSV field
+    return [[None if math.isnan(v) else v for v in row] for row in corr.values.tolist()]
+
+
+def _measure_files(name: str, corr, clustering, threshold: float) -> list:
+    """The correlation, cluster and heatmap files of one measure."""
+    return [
+        (f"correlation_{name}.csv", lambda f: _csv(
+            f, ["problem", *corr.problems],
+            ([p, *row] for p, row in zip(corr.problems, _matrix(corr))))),
+        (f"clusters_{name}.csv", lambda f: _csv(
+            f, ("problem", "cluster_id"), sorted(clustering.assignments().items()))),
+        (f"correlation_{name}.json", lambda f: _json(f, {
+            "measure": name,
+            "problems": list(corr.problems),
+            "matrix": _matrix(corr),
+            "threshold": threshold,
+            "clusters": [list(c) for c in clustering.clusters],
+            "no_correlation_measure": list(clustering.excluded),
+        })),
+        (f"heatmap_{name}.svg", lambda f: f.write(
+            render_heatmap(corr, clustering, title=f"problem correlation ({name})"))),
+    ]
+
+
 def cmd_correlate(args: argparse.Namespace) -> int:
     table = load_stats(args.stats)
-    # both measures are clustered before anything is written, so a domain
-    # error on the second leaves no files from the first
     results = []
     for measure in (Measure.WIN_RATE, Measure.SCORE):
         corr = correlation_matrix(table, measure)
         results.append((measure.value, corr, cluster(corr, args.threshold)))
-    out = _outdir(args)
-    for name, corr, clustering in results:
-        # None marks an undefined entry: JSON null, an empty CSV field
-        matrix = [[None if math.isnan(v) else v for v in row] for row in corr.values.tolist()]
-        if "csv" in args.formats:
-            _write_csv(
-                out / f"correlation_{name}.csv",
-                ["problem", *corr.problems],
-                ([p, *row] for p, row in zip(corr.problems, matrix)),
-            )
-            _write_csv(
-                out / f"clusters_{name}.csv",
-                ("problem", "cluster_id"),
-                sorted(clustering.assignments().items()),
-            )
-        if "json" in args.formats:
-            doc = {
-                "measure": name,
-                "problems": list(corr.problems),
-                "matrix": matrix,
-                "threshold": args.threshold,
-                "clusters": [list(c) for c in clustering.clusters],
-                "no_correlation_measure": list(clustering.excluded),
-            }
-            _write_text(out / f"correlation_{name}.json", dumps_canonical_json(doc))
-        if "svg" in args.formats:
-            svg = render_heatmap(corr, clustering, title=f"problem correlation ({name})")
-            _write_text(out / f"heatmap_{name}.svg", svg)
+    _write_files(args, [
+        file for result in results for file in _measure_files(*result, args.threshold)
+    ])
+    for name, _, clustering in results:
         print(
             f"{name}: {len(clustering.clusters)} cluster(s), "
             f"{len(clustering.excluded)} problem(s) without a correlation measure"
@@ -304,22 +304,17 @@ def cmd_confusion(args: argparse.Namespace) -> int:
         keys.extend(metric_keys_for(p, args.metric))
     matrix = confusion(table, keys, args.noise)
     probs = matrix.probs.tolist()
-    out = _outdir(args)
-    if "csv" in args.formats:
-        _write_csv(
-            out / "confusion.csv",
-            ["agent", *matrix.agents],
-            ([agent, *row] for agent, row in zip(matrix.agents, probs)),
-        )
-    if "json" in args.formats:
-        doc = {
+    _write_files(args, [
+        ("confusion.csv", lambda f: _csv(
+            f, ["agent", *matrix.agents], ([a, *row] for a, row in zip(matrix.agents, probs)))),
+        ("confusion.json", lambda f: _json(f, {
             "agents": list(matrix.agents),
             "metric": args.metric,
             "noise": args.noise,
             "problems": list(args.problems_list),
             "rows": probs,
-        }
-        _write_text(out / "confusion.json", dumps_canonical_json(doc))
+        })),
+    ])
     print(f"confusion matrix over {len(matrix.agents)} agents, {len(keys)} metric key(s)")
     return 0
 
@@ -330,12 +325,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     records = generate(spec)
     # synth names and float reprs never need CSV quoting: this writes what csv.writer would
     name = records.names.__getitem__
-    path = _outdir(args) / "playthroughs.csv"
-    with open(path, "w", newline="", encoding="utf-8") as f:
+
+    def write(f) -> None:
         f.write("agent,problem,score,win\n")
         f.writelines(map("{},{},{!r},{:d}\n".format, map(name, records.agents),
                          map(name, records.problems), records.scores, records.wins))
-    print(f"wrote {path}")
+
+    _write_files(args, [("playthroughs.csv", write)])
     print(
         f"{len(records)} records: {spec.agents} agents x "
         f"{len(spec.archetypes)} problems x {spec.samples_per_cell} samples"

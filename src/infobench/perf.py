@@ -380,12 +380,27 @@ def aggregate(
     error unless ``allow_missing`` is set, in which case agents lacking
     full coverage are dropped (with a warning).
     """
+    names, width = records.names, len(records.names)
+    agents = np.frombuffer(records.agents, np.intc)
+    problems = np.frombuffer(records.problems, np.intc)
+    # columns filled by hand are checked, since a bad code or win byte
+    # would otherwise aggregate silently into wrong cells
+    lengths = {len(agents), len(problems), len(records.scores), len(records.wins)}
+    if len(lengths) > 1:
+        raise InputError(f"Playthroughs columns differ in length: {sorted(lengths)}")
     if not len(records):
         raise InputError("no records to aggregate")
+    if len(set(names)) < width:
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        raise InputError(f"Playthroughs names repeat a name: {_first_eight(repeated)}")
+    for role, column in (("agent", agents), ("problem", problems)):
+        if column.min() < 0 or column.max() >= width:
+            raise InputError(f"a Playthroughs {role} code lies outside [0, {width})")
+    if np.frombuffer(records.wins, np.uint8).max() > 1:
+        raise InputError("a Playthroughs win byte is neither 0 nor 1")
     # one int64 code per (agent, problem) cell; sorted, each cell is one run
-    names, width = records.names, len(records.names)
-    codes = np.multiply(np.frombuffer(records.agents, np.intc), width, dtype=np.int64)
-    codes += np.frombuffer(records.problems, np.intc)
+    codes = np.multiply(agents, width, dtype=np.int64)
+    codes += problems
     order = np.argsort(codes, kind="stable")
     codes = codes[order]
     starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -167,12 +168,50 @@ class TestPipeline:
             again = json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
             assert text == again, name
 
-    def test_format_filtering(self, corpus):
-        out = corpus / "csvonly"
-        run("info-gain", "--stats", corpus / "stats.csv", "--out", out,
-            "--format", "csv")
-        assert (out / "info_gain.csv").exists()
-        assert not (out / "info_gain.json").exists()
+    # the files each command writes, by format; "" marks a file written
+    # whatever --format says
+    FORMAT_FILES = {
+        "ingest": {"csv": {"stats.csv"}, "json": {"stats.json"}},
+        "info-gain": {"csv": {"info_gain.csv"}, "json": {"info_gain.json"}},
+        "select": {"csv": {"selection.csv"}, "json": {"selection.json"}, "": {"selection.txt"}},
+        "correlate": {
+            "csv": {"correlation_win.csv", "correlation_score.csv",
+                    "clusters_win.csv", "clusters_score.csv"},
+            "json": {"correlation_win.json", "correlation_score.json"},
+            "svg": {"heatmap_win.svg", "heatmap_score.svg"},
+        },
+        "confusion": {"csv": {"confusion.csv"}, "json": {"confusion.json"}},
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+    @pytest.mark.parametrize("command", FORMAT_FILES)
+    def test_format_filtering(self, corpus, command, fmt):
+        source = {
+            "ingest": ["--input", corpus.parent / "data" / "playthroughs.csv"],
+            "confusion": ["--stats", corpus / "stats.csv", "--problems", "prob00,prob01"],
+        }.get(command, ["--stats", corpus / "stats.csv"])
+        out = corpus / "only"
+        assert run(command, *source, "--out", out, "--format", fmt) == 0
+        files = self.FORMAT_FILES[command]
+        assert {p.name for p in out.iterdir()} == files.get(fmt, set()) | files.get("", set())
+
+    def test_correlate_holds_one_file_text_at_a_time(self, tmp_path):
+        data = tmp_path / "data"
+        assert run("synth", "--agents", 20, "--problems", 120, "--samples", 5,
+                   "--seed", 3, "--out", data) == 0
+        assert run("ingest", "--input", data / "playthroughs.csv", "--out", data) == 0
+        argv = ("correlate", "--stats", data / "stats.csv", "--out", tmp_path / "corr")
+        assert run(*argv) == 0  # the first run fills numpy's and Python's caches
+        tracemalloc.start()
+        try:
+            assert run(*argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one heatmap's SVG text, about 130 bytes a cell, and its render's
+        # temporaries; holding the first heatmap's text while rendering the
+        # second, with its JSON document and matrix, took about 520
+        assert peak / 120**2 <= 480
 
 
 class TestExitCodes:

@@ -198,6 +198,43 @@ def test_cell_codes_are_not_32_bit():
     assert means.tolist() == [float(i) for i in range(n)]
 
 
+@pytest.mark.parametrize("corrupt, message", [
+    pytest.param(lambda r: r.wins.__setitem__(1, 2), "win byte is neither 0 nor 1", id="win-2"),
+    pytest.param(lambda r: r.agents.pop(), r"columns differ in length: \[3, 4\]",
+                 id="agents-short"),
+    pytest.param(lambda r: r.problems.pop(), r"columns differ in length: \[3, 4\]",
+                 id="problems-short"),
+    pytest.param(lambda r: r.agents.__setitem__(0, -1), r"agent code lies outside \[0, 3\)",
+                 id="agent-negative"),
+    pytest.param(lambda r: r.problems.__setitem__(2, 3), r"problem code lies outside \[0, 3\)",
+                 id="problem-past-names"),
+    pytest.param(lambda r: r.names.__setitem__(1, "a0"), "names repeat a name: a0",
+                 id="name-repeated"),
+])
+def test_aggregate_rejects_malformed_columns(corrupt, message):
+    records = playthroughs([("a0", "g", 1.0, 1), ("a0", "g", 2.0, 0),
+                            ("a1", "g", 3.0, 1), ("a1", "g", 4.0, 0)])
+    assert records.names == ["a0", "g", "a1"]
+    aggregate(records)  # well-formed as built
+    corrupt(records)
+    with pytest.raises(InputError, match=message):
+        aggregate(records)
+
+
+def test_aggregate_accepts_parsed_and_generated_columns():
+    # each name is both an agent and a problem, under two spellings, so it
+    # has one code; the codes lie in [0, 2) and the wins are 0/1 bytes
+    text = f"{HEADER}\na,a,1,1\na, b ,2,win\n b,a,3,0\nb,b,4,lose\n"
+    records = parse_records(io.StringIO(text, newline=""))
+    assert records.names == ["a", "b"]
+    with pytest.warns(UserWarning, match="single playthrough"):
+        parsed = aggregate(records)
+    assert parsed.agents == ("a", "b")
+    assert parsed.column(MetricKey("b", "score"))[0].tolist() == [2.0, 4.0]
+    table = aggregate(generate(SynthSpec(3, archetypes("mixed", 4), samples_per_cell=5, seed=2)))
+    assert table.means.shape == (3, 8)
+
+
 def test_aggregate_peak_memory_per_row():
     spec = SynthSpec(27, archetypes("mixed", 20), samples_per_cell=200, seed=5)
     records = generate(spec)
