@@ -119,15 +119,23 @@ def _write_files(args: argparse.Namespace, files) -> None:
     """Write each ``(name, write)`` of ``files`` into ``--out``, where
     ``write(f)`` fills the open text file.  A .csv, .json or .svg file
     whose format ``--format`` leaves out is skipped; any other file, and
-    every file of a command without ``--format``, is written.  Commands
-    call this once, after computing everything, so an error leaves no
-    files and no ``--out``."""
+    every file of a command without ``--format``, is written.  A
+    ``--format`` that leaves no file is an ``InputError``.  Commands call
+    this once, after computing everything, so an error leaves no files
+    and no ``--out``."""
     formats = getattr(args, "formats", ALL_FORMATS)
+    suffixes = [name.rpartition(".")[2] for name, _ in files]
+    chosen = [
+        file for file, suffix in zip(files, suffixes)
+        if suffix not in ALL_FORMATS or suffix in formats
+    ]
+    if not chosen:
+        offered = ", ".join(f for f in ALL_FORMATS if f in suffixes)
+        raise InputError(
+            f"--format {','.join(formats)} selects none of {args.command}'s formats: {offered}"
+        )
     args.out.mkdir(parents=True, exist_ok=True)
-    for name, write in files:
-        suffix = name.rpartition(".")[2]
-        if suffix in ALL_FORMATS and suffix not in formats:
-            continue
+    for name, write in chosen:
         path = args.out / name
         with open(path, "w", newline="", encoding="utf-8") as f:
             write(f)
@@ -140,8 +148,17 @@ def _csv(f, header, rows) -> None:
     w.writerows(rows)
 
 
+def _write_str(f, text: str) -> None:
+    # a text file encodes each str it is given into one bytes copy; in
+    # 1 MiB slices that copy stays small, where a whole heatmap's copy
+    # added up to 8 MB to correlate's peak RSS, depending on where
+    # malloc placed it
+    for start in range(0, len(text), 1 << 20):
+        f.write(text[start:start + (1 << 20)])
+
+
 def _json(f, doc) -> None:
-    f.write(dumps_canonical_json(doc))
+    _write_str(f, dumps_canonical_json(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +292,8 @@ def _measure_files(name: str, corr, clustering, threshold: float) -> list:
             "clusters": [list(c) for c in clustering.clusters],
             "no_correlation_measure": list(clustering.excluded),
         })),
-        (f"heatmap_{name}.svg", lambda f: f.write(
-            render_heatmap(corr, clustering, title=f"problem correlation ({name})"))),
+        (f"heatmap_{name}.svg", lambda f: _write_str(
+            f, render_heatmap(corr, clustering, title=f"problem correlation ({name})"))),
     ]
 
 

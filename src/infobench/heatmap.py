@@ -75,16 +75,15 @@ def render_heatmap(
         (f'<rect class="cell" x="{x0 + col * CELL}"', f" / {name}: ")
         for col, name in enumerate(names)
     ]
-    for row, (name_row, values, codes) in enumerate(
-        zip(names, grid.tolist(), _fill_codes(grid).tolist())
-    ):
+    for row, (name_row, values, codes) in enumerate(zip(names, grid, _fill_codes(grid))):
         y_part = f' y="{y0 + row * CELL}" width="{CELL}" height="{CELL}" fill="'
         title = f'"><title>{name_row}'
-        parts.extend(
+        # one string per row, so the parts hold n strings, not n**2
+        parts.append("\n".join(
             f"{x_part}{y_part}{_FILLS[code]}{title}{name_part}"
             f'{"undefined" if v != v else f"{v:+.4f}"}</title></rect>'
-            for (x_part, name_part), v, code in zip(columns, values, codes)
-        )
+            for (x_part, name_part), v, code in zip(columns, values.tolist(), codes.tolist())
+        ))
 
     for row, p in enumerate(names):
         y = y0 + row * CELL + CELL - 4

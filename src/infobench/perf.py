@@ -21,6 +21,7 @@ Both headed CSV inputs, playthroughs and stats, are read row by row by
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import re
@@ -28,8 +29,9 @@ import warnings
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import pairwise, product, repeat
-from operator import sub
+from itertools import pairwise, repeat
+from json.encoder import encode_basestring_ascii
+from operator import add, sub
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -121,10 +123,25 @@ def _csv_rows(stream: IO[str], header: tuple[str, ...]) -> Iterator[tuple[int, l
         raise ParseError(str(exc), reader.line_num) from None
 
 
-def _first_eight(labels: Sequence[str]) -> str:
-    """The first eight labels, comma-separated, then how many more there are."""
-    more = "" if len(labels) <= 8 else f" and {len(labels) - 8} more"
+def _first_eight(labels: Sequence[str], total: int | None = None) -> str:
+    """The first eight labels, comma-separated, then how many more of
+    ``total`` (default: all of ``labels``) there are."""
+    total = len(labels) if total is None else total
+    more = "" if total <= 8 else f" and {total - 8} more"
     return ", ".join(labels[:8]) + more
+
+
+def _raise_first_duplicate(agents: Sequence[str], keys: Sequence[MetricKey]) -> None:
+    """Raise for the first stats row, in row order, whose cell an earlier
+    row already gave; return if there is none."""
+    seen = set()
+    for cell in zip(agents, keys):
+        if cell in seen:
+            agent, (problem, measure) = cell
+            raise InputError(
+                f"duplicate stats row for cell {_cell_name(agent, problem, measure)}"
+            ) from None
+        seen.add(cell)
 
 
 def _cell_name(agent: str, problem: str, measure: Measure) -> str:
@@ -270,70 +287,106 @@ class PerformanceTable:
         """
         if not (sigma_floor > 0 and math.isfinite(sigma_floor)):
             raise InputError(f"sigma_floor must be positive and finite, got {sigma_floor}")
-        cells: dict[tuple[str, MetricKey], tuple[float, float, int]] = {}
+        # the rows as five columns, in row order
+        row_agents, row_keys, means, stddevs, counts = [], [], [], [], []
         keys_seen: dict[tuple[str, str], MetricKey] = {}
-        for agent, problem, measure, mean, stddev, count in rows:
-            key = keys_seen.get((problem, measure))
-            if key is None:
-                key = keys_seen[(problem, measure)] = MetricKey(problem, measure)
-            if (agent, key) in cells:
-                raise InputError(
-                    f"duplicate stats row for cell {_cell_name(agent, problem, key.measure)}"
-                )
-            cells[(agent, key)] = (mean, stddev, count)
-        if not cells:
+        try:
+            for agent, problem, measure, mean, stddev, count in rows:
+                key = keys_seen.get((problem, measure))
+                if key is None:
+                    key = keys_seen[(problem, measure)] = MetricKey(problem, measure)
+                row_agents.append(agent)
+                row_keys.append(key)
+                means.append(mean)
+                stddevs.append(stddev)
+                counts.append(count)
+        except Exception:
+            # a duplicate among the rows before the one that failed comes first
+            _raise_first_duplicate(row_agents, row_keys)
+            raise
+        if not row_agents:
             raise InputError("no cells given")
-        agents = tuple(sorted({a for a, _ in cells}))
-        keys = tuple(sorted({k for _, k in cells}))
+        agents = tuple(sorted(set(row_agents)))
+        keys = tuple(sorted(set(row_keys)))
+        width = len(keys)
+        # each row's cell as a flat index into the agents x keys grid
+        row_start = {a: i * width for i, a in enumerate(agents)}
+        column = {k: j for j, k in enumerate(keys)}
+        cell = np.fromiter(
+            map(add, map(row_start.__getitem__, row_agents), map(column.__getitem__, row_keys)),
+            np.intp,
+            len(row_agents),
+        )
+        size = len(agents) * width
+        given = np.zeros(size, bool)
+        given[cell] = True
+        if np.count_nonzero(given) < len(cell):
+            _raise_first_duplicate(row_agents, row_keys)
         if _XML_FORBIDDEN.search("".join(agents) + "".join(k.problem for k in keys)):
-            for a, k in cells:
+            for a, k in zip(row_agents, row_keys):
                 bad = _XML_FORBIDDEN.search(a + k.problem)
                 if bad:
                     raise InputError(
                         f"cell {_cell_name(a, *k)!r} has a name holding "
                         f"U+{ord(bad.group()):04X}, a character XML 1.0 forbids"
                     )
-        missing = [
-            (a, k) for a in agents for k in keys if (a, k) not in cells
-        ]
-        if missing:
+
+        def name(index: int) -> tuple[str, MetricKey]:
+            return agents[index // width], keys[index % width]
+
+        if not given.all():
+            missing = [name(i) for i in np.flatnonzero(~given).tolist()]
             shown = _first_eight([_cell_name(a, *k) for a, k in missing])
             raise CompletenessError(
                 f"incomplete table, {len(missing)} missing cell(s): {shown}", missing
             )
-        grid = [cells[(a, k)] for a in agents for k in keys]
-        single, sub_floor = [], []
-        for (a, k), (mean, stddev, count) in zip(product(agents, keys), grid):
-            if not (math.isfinite(mean) and math.isfinite(stddev)):
+        mean = np.empty(size)
+        mean[cell] = means
+        stddev = np.empty(size)
+        stddev[cell] = stddevs
+        count = np.empty(size, np.int64)
+        try:
+            count[cell] = counts
+        except OverflowError:
+            # a count outside int64 is a fault; 0 marks it, and the message
+            # below names the count as given
+            count[cell] = [c if 1 <= c <= _MAX_COUNT else 0 for c in counts]
+        faulty = ~np.isfinite(mean)
+        faulty |= ~np.isfinite(stddev)
+        faulty |= stddev < 0
+        faulty |= count < 1
+        if faulty.any():
+            # the first faulty cell in (agent, key) order, named from its row
+            first = int(np.argmax(faulty))
+            row = int(np.argmax(cell == first))
+            if not (math.isfinite(means[row]) and math.isfinite(stddevs[row])):
                 fault = "non-finite stat for cell {}"
-            elif stddev < 0:
+            elif stddevs[row] < 0:
                 fault = "negative stddev for cell {}"
-            elif count < 1:
-                fault = f"cell {{}} has count {count} < 1"
-            elif count > _MAX_COUNT:
-                fault = f"cell {{}} has count {count}, above {_MAX_COUNT}"
+            elif counts[row] < 1:
+                fault = f"cell {{}} has count {counts[row]} < 1"
             else:
-                if count == 1 or stddev < sigma_floor:
-                    (single if count == 1 else sub_floor).append(_cell_name(a, *k))
-                continue
+                fault = f"cell {{}} has count {counts[row]}, above {_MAX_COUNT}"
+            a, k = name(first)
             raise InputError(fault.format(_cell_name(a, *k)))
-        for labels, reason in (
+        single = count == 1
+        for floored, reason in (
             (single, "with a single playthrough; no sample stddev, so at least the floor"),
-            (sub_floor, "with zero or sub-floor variance; stddev set to the floor"),
+            (~single & (stddev < sigma_floor),
+             "with zero or sub-floor variance; stddev set to the floor"),
         ):
-            if labels:
+            floored = np.flatnonzero(floored)
+            if len(floored):
+                labels = [_cell_name(a, *k) for a, k in map(name, floored[:8].tolist())]
                 warnings.warn(
-                    f"{len(labels)} cell(s) {reason} ({sigma_floor:g}): {_first_eight(labels)}",
+                    f"{len(floored)} cell(s) {reason} ({sigma_floor:g}): "
+                    f"{_first_eight(labels, len(floored))}",
                     stacklevel=2,
                 )
-        shape = (len(agents), len(keys))
-        means, stds, counts = zip(*grid)
+        np.maximum(stddev, sigma_floor, out=stddev)
+        shape = (len(agents), width)
         return cls(
-            agents,
-            keys,
-            np.array(means, dtype=float).reshape(shape),
-            np.maximum(np.array(stds, dtype=float), sigma_floor).reshape(shape),
-            np.array(counts, dtype=np.int64).reshape(shape),
+            agents, keys, mean.reshape(shape), stddev.reshape(shape), count.reshape(shape),
             sigma_floor,
         )
 
@@ -461,16 +514,12 @@ STATS_HEADER = ("agent", "problem", "measure", "mean", "stddev", "count")
 
 
 def _stats_rows(table: PerformanceTable):
-    for i, a in enumerate(table.agents):
-        for j, k in enumerate(table.keys):
-            yield (
-                a,
-                k.problem,
-                k.measure.value,
-                float(table.means[i, j]),
-                float(table.stddevs[i, j]),
-                int(table.counts[i, j]),
-            )
+    keys = [(k.problem, k.measure.value) for k in table.keys]
+    for agent, means, stddevs, counts in zip(
+        table.agents, table.means.tolist(), table.stddevs.tolist(), table.counts.tolist()
+    ):
+        for (problem, measure), mean, stddev, count in zip(keys, means, stddevs, counts):
+            yield agent, problem, measure, mean, stddev, count
 
 
 def write_stats_csv(table: PerformanceTable, stream: IO[str]) -> None:
@@ -489,12 +538,67 @@ def stats_json_document(table: PerformanceTable) -> dict:
 
 
 def dumps_canonical_json(document) -> str:
-    """Canonical JSON text: sorted keys, 2-space indent, trailing newline.
+    """Canonical JSON text: sorted keys, 2-space indent, trailing newline;
+    the text of ``json.dumps(document, indent=2, sort_keys=True,
+    allow_nan=False)`` and a newline.  A dict that holds a container must
+    have ``str`` keys, as every document written here does.
 
     Emitted files re-serialize byte-identically after a parse round
     trip.
     """
-    return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    parts: list[str] = []
+    _encode_json(document, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+_JSON_SCALARS = (str, int, float, type(None))
+
+
+@functools.cache
+def _flat_json(newline: str) -> Callable[[object], str]:
+    """JSON text of a scalar, or of a container of scalars laid out as
+    ``indent=2`` lays out its items on lines starting with ``newline``
+    but without its brackets' own line breaks.
+
+    This is the C encoder's one-line text, with the newline and indent
+    in the item separator: the encoder writes that separator only
+    between items, and ASCII escaping leaves no raw newline in a string.
+    """
+    return json.JSONEncoder(
+        sort_keys=True, allow_nan=False, check_circular=False, separators=("," + newline, ": ")
+    ).encode
+
+
+def _encode_json(value, newline: str, parts: list[str]) -> None:
+    """Append the ``indent=2`` JSON text of ``value``, whose first line
+    starts with ``newline`` (a line break and the indent), to ``parts``."""
+    if isinstance(value, dict):
+        items = value.values()
+    elif isinstance(value, (list, tuple)):
+        items = value
+    else:
+        parts.append(_flat_json(newline)(value))
+        return
+    inner = newline + "  "
+    if all(isinstance(item, _JSON_SCALARS) for item in items):
+        text = _flat_json(inner)(value)
+        # the C encoder's text lacks the line breaks just inside the brackets
+        parts.append(f"{text[0]}{inner}{text[1:-1]}{newline}{text[-1]}" if items else text)
+    elif isinstance(value, dict):
+        separator = "{" + inner
+        for key in sorted(value):
+            parts += separator, encode_basestring_ascii(key), ": "
+            _encode_json(value[key], inner, parts)
+            separator = "," + inner
+        parts += newline, "}"
+    else:
+        separator = "[" + inner
+        for item in value:
+            parts.append(separator)
+            _encode_json(item, inner, parts)
+            separator = "," + inner
+        parts += newline, "]"
 
 
 def read_stats_csv(stream: IO[str]) -> PerformanceTable:

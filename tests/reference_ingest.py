@@ -5,17 +5,19 @@ package shipped before it stopped building a stripped field list per
 row; ``gaussian_stat`` is the per-cell summary with its sum of squares
 taken over a generator; ``generate`` is the synthetic corpus drawn into a
 list of tuples, one cell at a time; ``aggregate`` folds such tuples into
-a table with one dict entry per cell, filled row by row.  The package's
-reader must return the same records, or raise the same ``ParseError`` at
-the same line, its summary must be bit-identical, its generator must
-draw the same records bit for bit, and its aggregate must give the same
-table, warnings and errors.
+a table with one dict entry per cell, filled row by row, and
+``from_stats`` builds a table from stats rows the same way, checking and
+flooring cell by cell.  The package's reader must return the same
+records, or raise the same ``ParseError`` at the same line, its summary
+must be bit-identical, its generator must draw the same records bit for
+bit, and its aggregate and table build must give the same table,
+warnings and errors.
 """
 
 import csv
 import math
 import warnings
-from itertools import repeat
+from itertools import product, repeat
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -23,9 +25,12 @@ import numpy as np
 from infobench.errors import CompletenessError, InputError, ParseError
 from infobench.perf import (
     _EXPECTED_HEADER,
+    _MAX_COUNT,
     _WIN_TOKENS,
+    _XML_FORBIDDEN,
     SIGMA_FLOOR_DEFAULT,
     Measure,
+    MetricKey,
     PerformanceTable,
     _cell_name,
     _first_eight,
@@ -188,3 +193,77 @@ def aggregate(
                         "summarise in floating point"
                     ) from None
     return PerformanceTable.from_stats(rows, sigma_floor)
+
+
+def from_stats(
+    rows: Iterable[tuple[str, str, str, float, float, int]],
+    sigma_floor: float = SIGMA_FLOOR_DEFAULT,
+) -> PerformanceTable:
+    """Build a table from ``(agent, problem, measure, mean, stddev, count)``
+    rows with one dict entry per cell, checked and floored cell by cell."""
+    if not (sigma_floor > 0 and math.isfinite(sigma_floor)):
+        raise InputError(f"sigma_floor must be positive and finite, got {sigma_floor}")
+    cells: dict[tuple[str, MetricKey], tuple[float, float, int]] = {}
+    keys_seen: dict[tuple[str, str], MetricKey] = {}
+    for agent, problem, measure, mean, stddev, count in rows:
+        key = keys_seen.get((problem, measure))
+        if key is None:
+            key = keys_seen[(problem, measure)] = MetricKey(problem, measure)
+        if (agent, key) in cells:
+            raise InputError(
+                f"duplicate stats row for cell {_cell_name(agent, problem, key.measure)}"
+            )
+        cells[(agent, key)] = (mean, stddev, count)
+    if not cells:
+        raise InputError("no cells given")
+    agents = tuple(sorted({a for a, _ in cells}))
+    keys = tuple(sorted({k for _, k in cells}))
+    if _XML_FORBIDDEN.search("".join(agents) + "".join(k.problem for k in keys)):
+        for a, k in cells:
+            bad = _XML_FORBIDDEN.search(a + k.problem)
+            if bad:
+                raise InputError(
+                    f"cell {_cell_name(a, *k)!r} has a name holding "
+                    f"U+{ord(bad.group()):04X}, a character XML 1.0 forbids"
+                )
+    missing = [(a, k) for a in agents for k in keys if (a, k) not in cells]
+    if missing:
+        shown = _first_eight([_cell_name(a, *k) for a, k in missing])
+        raise CompletenessError(
+            f"incomplete table, {len(missing)} missing cell(s): {shown}", missing
+        )
+    grid = [cells[(a, k)] for a in agents for k in keys]
+    single, sub_floor = [], []
+    for (a, k), (mean, stddev, count) in zip(product(agents, keys), grid):
+        if not (math.isfinite(mean) and math.isfinite(stddev)):
+            fault = "non-finite stat for cell {}"
+        elif stddev < 0:
+            fault = "negative stddev for cell {}"
+        elif count < 1:
+            fault = f"cell {{}} has count {count} < 1"
+        elif count > _MAX_COUNT:
+            fault = f"cell {{}} has count {count}, above {_MAX_COUNT}"
+        else:
+            if count == 1 or stddev < sigma_floor:
+                (single if count == 1 else sub_floor).append(_cell_name(a, *k))
+            continue
+        raise InputError(fault.format(_cell_name(a, *k)))
+    for labels, reason in (
+        (single, "with a single playthrough; no sample stddev, so at least the floor"),
+        (sub_floor, "with zero or sub-floor variance; stddev set to the floor"),
+    ):
+        if labels:
+            warnings.warn(
+                f"{len(labels)} cell(s) {reason} ({sigma_floor:g}): {_first_eight(labels)}",
+                stacklevel=2,
+            )
+    shape = (len(agents), len(keys))
+    means, stds, counts = zip(*grid)
+    return PerformanceTable(
+        agents,
+        keys,
+        np.array(means, dtype=float).reshape(shape),
+        np.maximum(np.array(stds, dtype=float), sigma_floor).reshape(shape),
+        np.array(counts, dtype=np.int64).reshape(shape),
+        sigma_floor,
+    )

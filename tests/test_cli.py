@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import full_table, score_table
 import infobench
-from infobench.cli import main
+from infobench.cli import _write_str, main
 from infobench.perf import stats_json_document, write_stats_csv
 from reference_heatmap import read_heatmap_cells
 
@@ -191,9 +191,15 @@ class TestPipeline:
             "confusion": ["--stats", corpus / "stats.csv", "--problems", "prob00,prob01"],
         }.get(command, ["--stats", corpus / "stats.csv"])
         out = corpus / "only"
-        assert run(command, *source, "--out", out, "--format", fmt) == 0
         files = self.FORMAT_FILES[command]
-        assert {p.name for p in out.iterdir()} == files.get(fmt, set()) | files.get("", set())
+        expected = files.get(fmt, set()) | files.get("", set())
+        if not expected:
+            # a --format that selects none of the command's files is bad usage
+            assert run(command, *source, "--out", out, "--format", fmt) == 2
+            assert not out.exists()
+            return
+        assert run(command, *source, "--out", out, "--format", fmt) == 0
+        assert {p.name for p in out.iterdir()} == expected
 
     def test_correlate_holds_one_file_text_at_a_time(self, tmp_path):
         data = tmp_path / "data"
@@ -212,6 +218,23 @@ class TestPipeline:
         # temporaries; holding the first heatmap's text while rendering the
         # second, with its JSON document and matrix, took about 520
         assert peak / 120**2 <= 480
+
+
+    def test_large_texts_are_written_in_slices(self, tmp_path):
+        # 3.5 MiB with a two-byte character across each 1 MiB slice boundary
+        text = ("é" + "x" * ((1 << 20) - 1)) * 3 + "é" * (1 << 19)
+        path = tmp_path / "big.txt"
+        with open(path, "w", newline="", encoding="utf-8") as f:
+            tracemalloc.start()
+            try:
+                _write_str(f, text)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert path.read_bytes() == text.encode("utf-8")
+        # one slice and its encoder's buffer, about 3 MiB; writing the whole
+        # text at once takes about 7 MiB
+        assert peak <= 4 << 20
 
 
 class TestExitCodes:

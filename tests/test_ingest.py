@@ -4,6 +4,7 @@ replaced or to what it must give back."""
 
 import csv
 import io
+import math
 import tempfile
 import tracemalloc
 import warnings
@@ -17,7 +18,14 @@ import reference_ingest
 from conftest import playthrough_rows, playthroughs
 from infobench.cli import main
 from infobench.errors import InputError, ParseError
-from infobench.perf import MetricKey, _gaussian_stat, aggregate, parse_records
+from infobench.perf import (
+    Measure,
+    MetricKey,
+    PerformanceTable,
+    _gaussian_stat,
+    aggregate,
+    parse_records,
+)
 from infobench.synth import ARCHETYPE_CHOICES, SynthSpec, archetypes, generate
 
 
@@ -135,15 +143,15 @@ def test_gaussian_stat_is_bit_identical_to_the_generator_form(values):
     )
 
 
-def aggregate_outcome(fold, rows, allow_missing):
-    """The table's names and bytes, or the error's type, text and missing
-    cells; then the warning texts."""
+def table_outcome(build):
+    """The names and bytes of the table ``build()`` returns, or its
+    error's type, text and missing cells; then the warning texts."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            table = fold(rows, allow_missing=allow_missing)
-            result = (table.agents, table.keys, table.means.tobytes(),
-                      table.stddevs.tobytes(), table.counts.tobytes())
+            table = build()
+            result = (table.agents, table.keys, table.means.shape, table.means.tobytes(),
+                      table.stddevs.tobytes(), table.counts.tobytes(), table.sigma_floor)
         except InputError as exc:
             result = type(exc), str(exc), getattr(exc, "missing", None)
     return result, [str(w.message) for w in caught]
@@ -180,9 +188,8 @@ def shuffled_rows(draw):
 @example(rows=[("a", "g", 1.0, True), ("b", "h", 2.0, False)], allow_missing=True)
 @example(rows=[], allow_missing=False)
 def test_aggregate_matches_the_per_row_dict_loop(rows, allow_missing):
-    expected = aggregate_outcome(reference_ingest.aggregate, rows, allow_missing)
-    by_codes = aggregate_outcome(lambda r, **kw: aggregate(playthroughs(r), **kw), rows,
-                                 allow_missing)
+    expected = table_outcome(lambda: reference_ingest.aggregate(rows, allow_missing=allow_missing))
+    by_codes = table_outcome(lambda: aggregate(playthroughs(rows), allow_missing=allow_missing))
     assert by_codes == expected
 
 
@@ -248,6 +255,95 @@ def test_aggregate_peak_memory_per_row():
     # an int64 code, its sort order and a sorted score per row, with slack;
     # a Python float per row in per-cell lists alone takes 32
     assert peak / len(records) <= 30
+
+
+def mostly(sound, faults):
+    """Draws from ``sound``, and about one time in eight from ``faults``."""
+    return st.sampled_from([sound] * 7 + [st.sampled_from(faults)]).flatmap(lambda s: s)
+
+
+# mostly sound names and stats, now and then a name XML forbids, a
+# non-finite stat, a negative stddev or a count outside [1, 2**63 - 1]
+STATS_AGENTS = mostly(st.sampled_from(["a", "b", "c", "é"]), ["x\x01"])
+STATS_PROBLEMS = mostly(st.sampled_from(["g", "h", "k"]), ["p\ufffe"])
+STATS_MEASURES = st.sampled_from(["win", "score", Measure.WIN_RATE, Measure.SCORE])
+STATS_MEANS = mostly(st.floats(-10, 10), [-0.0, math.nan, math.inf, -math.inf])
+STATS_STDDEVS = mostly(st.floats(0, 2), [0.0, 1e-12, -0.0, -1.0, math.nan, math.inf])
+STATS_COUNTS = mostly(st.sampled_from([1, 2, 3, 9]), [0, -1, 2**63 - 1, 2**63, -2**70])
+# the row a stats reader fails on, raising a ParseError mid-iteration
+BAD_LINE = ("bad", "line")
+
+
+@st.composite
+def stats_rows(draw):
+    """Stats rows for up to three agents x four keys in shuffled order,
+    now and then with a cell or two left out, a row repeated, a row of
+    an unknown measure or a row the reader fails on."""
+    agents = draw(st.lists(STATS_AGENTS, min_size=1, max_size=3, unique=True))
+    keys = draw(st.lists(st.tuples(STATS_PROBLEMS, STATS_MEASURES), min_size=1, max_size=4,
+                         unique_by=lambda k: (k[0], Measure(k[1]))))
+    rows = [(a, p, m, draw(STATS_MEANS), draw(STATS_STDDEVS), draw(STATS_COUNTS))
+            for a in agents for p, m in keys]
+    few = st.sampled_from([0, 0, 0, 0, 1, 2])
+    for _ in range(min(draw(few), len(rows) - 1)):
+        rows.remove(draw(st.sampled_from(rows)))
+    rows += [draw(st.sampled_from(rows)) for _ in range(draw(few))]
+    rows += [draw(st.sampled_from([("a", "g", "draw", 0.5, 1.0, 3), BAD_LINE]))
+             for _ in range(draw(few))]
+    return draw(st.permutations(rows))
+
+
+def read_rows(rows):
+    """The rows as a stats reader yields them, raising at ``BAD_LINE``."""
+    for row in rows:
+        if row == BAD_LINE:
+            raise ParseError("unparseable count", 9)
+        yield row
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=stats_rows(), sigma_floor=st.sampled_from([1e-9, 1e-12, 0.5, 1.0, 3.0]))
+# a duplicate or an unknown measure is named at its row, even before a
+# row the reader fails on
+@example(rows=[("a", "g", "win", 0.5, 1.0, 3), ("a", "g", Measure.WIN_RATE, 0.5, 1.0, 3),
+               ("a", "g", "draw", 0.5, 1.0, 3)], sigma_floor=1e-9)
+@example(rows=[("a", "g", "draw", 0.5, 1.0, 3), ("a", "g", "win", 0.5, 1.0, 3),
+               ("a", "g", "win", 0.5, 1.0, 3)], sigma_floor=1e-9)
+@example(rows=[("a", "g", "win", 0.5, 1.0, 3), ("a", "g", "win", 0.5, 1.0, 3), BAD_LINE],
+         sigma_floor=1e-9)
+@example(rows=[("a", "g", "win", 0.5, 1.0, 3), BAD_LINE, ("a", "g", "win", 0.5, 1.0, 3)],
+         sigma_floor=1e-9)
+@example(rows=[], sigma_floor=1e-9)
+# within a cell non-finite comes before negative before the count checks,
+# and across cells (agent, key) order decides, not row order
+@example(rows=[("b", "g", "win", math.nan, -1.0, 0), ("a", "g", "win", 0.5, -1.0, 2**63)],
+         sigma_floor=1e-9)
+@example(rows=[("a", "g", "win", 0.5, 1.0, -2**70), ("a", "h", "win", 0.5, -1.0, 3)],
+         sigma_floor=1e-9)
+@example(rows=[("a", "g", "win", 0.5, 1.0, 2**63 - 1), ("a", "h", "win", 0.5, 1.0, 2**63)],
+         sigma_floor=1e-9)
+# XML-forbidden names are named at the first row holding one
+@example(rows=[("b", "p\ufffe", "win", 0.5, 1.0, 3), ("x\x01", "g", "win", 0.5, 1.0, 3)],
+         sigma_floor=1e-9)
+def test_from_stats_matches_the_per_cell_dict_loop(rows, sigma_floor):
+    expected = table_outcome(lambda: reference_ingest.from_stats(read_rows(rows), sigma_floor))
+    by_columns = table_outcome(lambda: PerformanceTable.from_stats(read_rows(rows), sigma_floor))
+    assert by_columns == expected
+
+
+def test_from_stats_peak_memory_per_cell():
+    rows = [(f"agent{a:03d}", f"prob{p:02d}", m, a + p / 64, 0.5, 5)
+            for a in range(200) for p in range(60) for m in ("score", "win")]
+    PerformanceTable.from_stats(rows)  # the first call fills numpy's and Python's caches
+    tracemalloc.start()
+    try:
+        PerformanceTable.from_stats(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # five list entries, a flat index and three table entries per row, with
+    # slack; a dict entry and an (agent, key) tuple per cell took about 260
+    assert peak / len(rows) <= 120
 
 
 def retained_bytes(build):

@@ -1,6 +1,8 @@
 import io
+import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -362,8 +364,6 @@ class TestStatsIO:
         assert np.array_equal(back.means, table.means)
 
     def test_json_reemission_is_byte_identical(self, table):
-        import json
-
         text = dumps_canonical_json(stats_json_document(table))
         again = dumps_canonical_json(json.loads(text))
         assert text == again
@@ -417,3 +417,62 @@ class TestStatsIO:
             read_stats_json(io.StringIO("not json"))
         with pytest.raises(InputError, match="structure"):
             read_stats_json(io.StringIO('{"cells": [{"agent": "a"}]}'))
+
+
+# keys and strings with non-ASCII, quotes, backslashes, line breaks and
+# the item separator's ", "
+JSON_TEXT = st.lists(
+    st.sampled_from(["a", "Z", "é", "😀", '"', "\\", "\n", "\r", ", ", "\x00"]), max_size=4
+).map("".join)
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-2**200, 2**200),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, 1e16, 1e-7]),
+    JSON_TEXT,
+)
+
+
+def json_documents(depth):
+    """Scalars, and lists, tuples and str-keyed dicts nested up to ``depth``
+    containers deep."""
+    if depth == 0:
+        return JSON_SCALARS
+    children = json_documents(depth - 1)
+    return st.one_of(
+        children,
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(JSON_TEXT, children, max_size=3),
+    )
+
+
+class TestCanonicalJson:
+    @settings(max_examples=400, deadline=None)
+    @given(document=json_documents(4))
+    def test_equals_the_stdlib_text(self, document):
+        expected = json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        assert dumps_canonical_json(document) == expected
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_out_of_range_floats_raise(self, value):
+        for document in (value, [value], {"k": value}, {"k": [1, {"x": value}]}, [[value]]):
+            with pytest.raises(ValueError):
+                dumps_canonical_json(document)
+
+    def test_peak_memory_per_text_byte(self):
+        rows = [(f"agent{a:03d}", f"prob{p:02d}", m, a + p / 64, 0.5, 5)
+                for a in range(200) for p in range(60) for m in ("score", "win")]
+        document = stats_json_document(PerformanceTable.from_stats(rows))
+        text = dumps_canonical_json(document)  # the first call fills the encoder cache
+        tracemalloc.start()
+        try:
+            dumps_canonical_json(document)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one string per cell and the joined text; the stdlib's chunk per
+        # token and its join peaked at about 7.4 times the text
+        assert peak / len(text) <= 3
