@@ -62,11 +62,23 @@ def log_weight_term(table: PerformanceTable, key: MetricKey, noise: str) -> np.n
     are rejected before any softmax, never read as a probability.
     """
     mu, sd = table.column(key)
+    # -(diff * diff) / var2 - 0.5 * log(pi * var2), with var2 = 2 * scale²,
+    # in two n x n buffers; each step is the expression's own, in its order,
+    # so the bits are the same.  Every step is symmetric in (i, j), so the
+    # term equals its transpose bit for bit.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         scale = _pair_scales(sd, noise)
-        diff = mu[:, None] - mu[None, :]
-        var2 = 2.0 * scale * scale
-        return -(diff * diff) / var2 - 0.5 * np.log(np.pi * var2)
+        var2 = scale * 2.0
+        var2 *= scale
+        quad = np.subtract.outer(mu, mu, out=scale)
+        np.multiply(quad, quad, out=quad)
+        np.negative(quad, out=quad)
+        quad /= var2
+        var2 *= np.pi
+        np.log(var2, out=var2)
+        var2 *= 0.5
+        quad -= var2
+    return quad
 
 
 def log_weight_matrix(
@@ -96,10 +108,14 @@ def log_weight_stack(
     table: PerformanceTable, bundles: Sequence[Sequence[MetricKey]], noise: str
 ) -> np.ndarray:
     """Each key's log weights on its own, in one array: entry ``[w, b]`` is
-    the ``w``-th key of bundle ``b``.  Every bundle has the same width.
+    the ``w``-th key of bundle ``b``, held as the upper triangle of its
+    ``n x n`` matrix, diagonal included, row by row.  Every bundle has the
+    same width.
 
-    Added in order by ``add_terms`` they give ``log_weight_matrix`` over
-    the keys bit for bit, so ``infogain.stack_gains`` scores many key sets
+    Every term is symmetric bit for bit, so the triangle holds all of it:
+    ``np.take(entry, square_index(n))`` gives back the matrix.  Added in
+    order by ``add_terms`` the triangles give ``log_weight_matrix`` over the
+    keys bit for bit, so ``infogain.stack_gains`` scores many key sets
     sharing keys by summing these instead of recomputing every term; a
     slice of the first axis scores a prefix of every bundle.  Each is
     ``log_weight_matrix`` over the one key, so the term counts of
@@ -109,11 +125,24 @@ def log_weight_stack(
     if any(len(bundle) != width for bundle in bundles):
         raise ValueError("every bundle must have the same number of keys")
     n = len(table.agents)
-    stack = np.empty((width, len(bundles), n, n))
+    rows, cols = np.triu_indices(n)
+    upper = rows * n + cols
+    stack = np.empty((width, len(bundles), len(upper)))
     for b, bundle in enumerate(bundles):
         for w, key in enumerate(bundle):
-            stack[w, b] = log_weight_matrix(table, (key,), noise)
+            # mode="clip" writes straight into out; "raise" buffers it
+            np.take(log_weight_matrix(table, (key,), noise), upper, out=stack[w, b], mode="clip")
     return stack
+
+
+def square_index(n: int) -> np.ndarray:
+    """For each entry of an ``n x n`` matrix, its slot in the row-by-row
+    upper triangle a ``log_weight_stack`` holds: (i, j) and (j, i) share
+    one."""
+    rows, cols = np.triu_indices(n)
+    index = np.empty((n, n), dtype=np.intp)
+    index[rows, cols] = index[cols, rows] = np.arange(len(rows))
+    return index
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,6 +27,7 @@ from .confusion import (
     gain_bits,
     log_weight_matrix,
     log_weight_stack,
+    square_index,
 )
 from .errors import InputError
 from .perf import Measure, MetricKey, PerformanceTable
@@ -80,16 +81,25 @@ def metric_keys_for(problem: str, mode: str) -> tuple[MetricKey, ...]:
 def stack_gains(base: np.ndarray, stack: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Gain in bits of ``base`` plus each bundle ``ids`` picks from a
     ``log_weight_stack``, its terms added in key order by ``add_terms``.
+    ``base`` is an upper triangle too.
 
     The bundles are scored in chunks of at most ``CHUNK_ELEMENTS`` log
-    weights, or of one bundle when its n x n is larger.
+    weights, or of one bundle when its n x n is larger.  Each chunk's sums
+    are unpacked into one reused C-contiguous buffer, so the softmax and
+    entropy reduce every row in the order a fresh array would.
     """
-    n = stack.shape[-1]
+    n = math.isqrt(8 * stack.shape[-1] + 1) // 2  # the triangle holds n(n+1)/2
+    index = square_index(n)
     per_chunk = max(1, CHUNK_ELEMENTS // (n * n))
-    chunks = (ids[start:start + per_chunk] for start in range(0, len(ids), per_chunk))
-    return np.concatenate(
-        [gain_bits(add_terms(base, (terms[chunk] for terms in stack))) for chunk in chunks]
-    )
+    square = np.empty((min(per_chunk, len(ids)), n, n))
+    gains = np.empty(len(ids))
+    for start in range(0, len(ids), per_chunk):
+        chunk = ids[start:start + per_chunk]
+        sums = add_terms(base, (terms[chunk] for terms in stack))
+        # mode="clip" writes straight into out; "raise" buffers it
+        np.take(sums, index, axis=-1, out=square[:len(chunk)], mode="clip")
+        gains[start:start + len(chunk)] = gain_bits(square[:len(chunk)])
+    return gains
 
 
 def problem_gains(table: PerformanceTable, noise: str = DEFAULT_NOISE) -> dict[str, np.ndarray]:
@@ -208,7 +218,7 @@ def greedy_select(
     # info_gain_set(selected + candidate) would, so gains are bit-identical
     stack = log_weight_stack(table, bundles, noise)
     remaining = np.arange(len(names))  # indices into names, so in sorted order
-    selected_log_weights = np.zeros((n, n))
+    selected_log_weights = np.zeros(stack.shape[-1])
     steps: list[SelectionStep] = []
     negatives: list[NegativeMarginal] = []
     cumulative = 0.0

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -13,14 +13,54 @@ from conftest import (
     score_table,
 )
 from infobench.confusion import (
+    NOISE_MODES,
     ConfusionMatrix,
     confusion,
     log_weight_matrix,
+    log_weight_stack,
+    log_weight_term,
+    square_index,
 )
 from infobench.errors import CompletenessError, DomainError
-from infobench.perf import Measure, MetricKey
+from infobench.infogain import CHUNK_ELEMENTS, info_gain_set, stack_gains
+from infobench.perf import Measure, MetricKey, PerformanceTable
+from reference_logweight import log_weight_term as reference_log_weight_term
 
 G = MetricKey("g", Measure.SCORE)
+
+# magnitudes from 1e-320 (subnormal) to 1e300, with both zeros: squares
+# and scales over them overflow, underflow and meet 0 / 0
+MAGNITUDES = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(1, 10), st.integers(-320, 300)),
+)
+MEANS = st.one_of(MAGNITUDES, MAGNITUDES.map(lambda m: -m))
+
+
+@st.composite
+def extreme_columns(draw, keys=1):
+    """Means and stddevs of ``keys`` columns over 1 to 8 agents."""
+    n = draw(st.integers(1, 8))
+    cells = st.lists(st.tuples(MEANS, MAGNITUDES), min_size=n * keys, max_size=n * keys)
+    mu, sd = np.array(draw(cells)).reshape(n, keys, 2).transpose(2, 0, 1)
+    return mu, sd
+
+
+def raw_table(mu, sd):
+    """A score-only table of the given ``(agents, keys)`` columns, taken
+    as they are: no floor, so zero and -0.0 stddevs reach the terms."""
+    n, width = mu.shape
+    keys = tuple(MetricKey(f"p{j}", Measure.SCORE) for j in range(width))
+    agents = tuple(f"a{i:03d}" for i in range(n))
+    return PerformanceTable(agents, keys, mu.copy(), sd.copy(), np.ones((n, width), int))
+
+
+def same_bits(a, b):
+    """Equal bit for bit, except that any NaN matches any NaN."""
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and np.array_equal(
+        a[~nan].view(np.int64), b[~nan].view(np.int64)
+    )
 
 
 class TestLogWeight:
@@ -75,6 +115,40 @@ class TestLogWeight:
         table = score_table({"g": ((0.0, 1.0), (1.0, 1.0))})
         with pytest.raises(ValueError, match="noise"):
             log_weight_matrix(table, [G], noise="geometric")
+
+    @given(extreme_columns(), st.sampled_from(NOISE_MODES))
+    # a subnormal squared scale: 2 * scale * scale and scale * scale * 2 differ
+    @example((np.array([[0.0]]), np.array([[1e-156]])), "rss")
+    @settings(max_examples=300, deadline=None)
+    def test_term_equals_the_reference_expression_bit_for_bit(self, columns, noise):
+        table = raw_table(*columns)
+        key = table.keys[0]
+        term = log_weight_term(table, key, noise)
+        assert same_bits(term, reference_log_weight_term(*table.column(key), noise))
+
+    @given(extreme_columns(keys=4), st.sampled_from(NOISE_MODES))
+    @example(
+        # n² above CHUNK_ELEMENTS: stack_gains scores one bundle per chunk
+        tuple(np.random.default_rng(5).uniform(0.5, 3.0, (2, 182, 4))),
+        "sum",
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_terms_are_symmetric_so_the_stack_holds_triangles(self, columns, noise):
+        table = raw_table(*columns)
+        n = len(table.agents)
+        for key in table.keys:
+            term = log_weight_term(table, key, noise)
+            assert same_bits(term, term.T)
+        bundles = [table.keys[:2], table.keys[2:]]
+        stack = log_weight_stack(table, bundles, noise)
+        assert stack.shape == (2, 2, n * (n + 1) // 2)
+        index = square_index(n)
+        for b, bundle in enumerate(bundles):
+            for w, key in enumerate(bundle):
+                assert same_bits(np.take(stack[w, b], index), log_weight_matrix(table, [key], noise))
+        if n * n > CHUNK_ELEMENTS:
+            gains = stack_gains(np.zeros(stack.shape[-1]), stack, np.arange(len(bundles)))
+            assert gains.tolist() == [info_gain_set(table, bundle, noise) for bundle in bundles]
 
 
 class TestConfusion:

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -284,6 +285,26 @@ class TestChunkedScoring:
                 info_gain_set(table, metric_keys_for(problem, mode)) for problem in table.problems
             ]
         assert subadditivity_audit(table) == expected_violations
+
+    @pytest.mark.parametrize(
+        "score", [lambda table: greedy_select(table, 5), problem_gains], ids=["greedy", "problem_gains"]
+    )
+    def test_stack_holds_each_term_as_its_upper_triangle(self, score):
+        n, problems = 120, 30
+        table = random_table(n, problems, seed=4)
+        score(table)  # the first run fills numpy's and Python's caches
+        tracemalloc.start()
+        try:
+            score(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 60 win and score terms as triangles, 3.5 MB, and a few n x n
+        # working arrays: the unpacked chunk, its index, one term's fill and
+        # the softmax's temporaries took about 7; whole n x n terms take
+        # 6.9 MB for the stack alone
+        stack = 2 * problems * n * (n + 1) // 2 * 8
+        assert peak <= stack + 8 * n * n * 8
 
     def test_non_finite_weight_in_a_later_chunk_is_a_domain_error(self, monkeypatch):
         problems = random_problems(self.N_AGENTS, self.N_PROBLEMS, seed=11)
