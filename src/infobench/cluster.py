@@ -62,6 +62,14 @@ def correlation_matrix(table: PerformanceTable, measure: Measure) -> Correlation
     Pearson r is scale-invariant, so each profile is first scaled by the
     power of two (exact) that brings its largest magnitude into [0.5, 1):
     squares and norm products can then neither overflow nor underflow.
+    A profile is constant, so undefined, exactly when its largest and
+    smallest mean are equal.
+
+    The centered profiles' Gram product is summed agent by agent in a
+    fixed order from elementwise products, not by a BLAS matrix product,
+    whose sums depend on its thread count.  It is symmetric bit for bit,
+    and its diagonal holds the squared norms summed in the same order, so
+    the diagonal of r is exactly 1 and duplicate profiles give r = 1.
     """
     measure = Measure(measure)
     if len(table.agents) < 3:
@@ -75,15 +83,16 @@ def correlation_matrix(table: PerformanceTable, measure: Measure) -> Correlation
     rows = np.ldexp(rows, -exponents)
     n = len(problems)
     values = np.full((n, n), np.nan)
-    centered = rows - rows.mean(axis=1, keepdims=True)
-    sq_norms = (centered * centered).sum(axis=1)
-    idx = np.flatnonzero(sq_norms > 0.0)
-    sub = centered[idx]
+    idx = np.flatnonzero(rows.max(axis=1) > rows.min(axis=1))
+    sub = rows[idx]
+    sub -= sub.mean(axis=1, keepdims=True)
+    gram = np.zeros((len(idx), len(idx)))
+    product = np.empty_like(gram)
+    for agent in sub.T:
+        gram += np.multiply.outer(agent, agent, out=product)
+    sq_norms = np.diagonal(gram)
     # single square root of the norm product keeps the +/-1 cases exact
-    r = (sub @ sub.T) / np.sqrt(np.outer(sq_norms[idx], sq_norms[idx]))
-    r = (r + r.T) / 2.0
-    np.fill_diagonal(r, 1.0)
-    values[np.ix_(idx, idx)] = r
+    values[np.ix_(idx, idx)] = gram / np.sqrt(np.outer(sq_norms, sq_norms))
     return CorrelationMatrix(problems, values)
 
 

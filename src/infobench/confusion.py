@@ -26,6 +26,11 @@ NOISE_MODES = ("sum", "rss")
 
 DEFAULT_NOISE = "sum"
 
+# stack_gains scores its bundles in chunks of at most this many log weights
+# (256 KiB of float64), or of one bundle when its n x n is larger, so each
+# chunk's passes stay in cache
+CHUNK_ELEMENTS = 2**15
+
 
 def _pair_scales(stddevs: np.ndarray, noise: str) -> np.ndarray:
     """Combined noise scale for every (observed, candidate) pair.
@@ -87,12 +92,11 @@ def log_weight_matrix(
     """Unnormalized log belief weights, entry (i, j) for observed i, candidate j:
     each key's ``log_weight_term`` added in key order by ``add_terms``."""
     keys = validate_metric_keys(table, keys)
-    n = len(table.agents)
-    return add_terms(np.zeros((n, n)), (log_weight_term(table, key, noise) for key in keys))
+    return add_terms(0.0, (log_weight_term(table, key, noise) for key in keys))
 
 
-def add_terms(base: np.ndarray, terms: Iterable[np.ndarray]) -> np.ndarray:
-    """``base`` plus each of ``terms`` in turn, as a new array: every sum of
+def add_terms(base: float | np.ndarray, terms: Iterable[np.ndarray]) -> float | np.ndarray:
+    """``base`` plus each of ``terms`` in turn, as a new value: every sum of
     log-weight terms is taken here, so sums of the same terms in the same
     order agree bit for bit.  An overflowing sum stays non-finite for
     ``_beliefs`` to reject, as an overflowing term does."""
@@ -115,7 +119,7 @@ def log_weight_stack(
     Every term is symmetric bit for bit, so the triangle holds all of it:
     ``np.take(entry, square_index(n))`` gives back the matrix.  Added in
     order by ``add_terms`` the triangles give ``log_weight_matrix`` over the
-    keys bit for bit, so ``infogain.stack_gains`` scores many key sets
+    keys bit for bit, so ``stack_gains`` scores many key sets
     sharing keys by summing these instead of recomputing every term; a
     slice of the first axis scores a prefix of every bundle.  Each is
     ``log_weight_matrix`` over the one key, so the term counts of
@@ -143,6 +147,31 @@ def square_index(n: int) -> np.ndarray:
     index = np.empty((n, n), dtype=np.intp)
     index[rows, cols] = index[cols, rows] = np.arange(len(rows))
     return index
+
+
+def stack_gains(stack: np.ndarray, picked: Sequence[int], ids: np.ndarray) -> np.ndarray:
+    """Gain in bits of the ``picked`` bundles of a ``log_weight_stack`` plus
+    each bundle ``ids`` names, the terms added by ``add_terms`` bundle by
+    bundle and in key order, as ``info_gain_set`` over those keys adds them.
+
+    The candidates are scored in chunks of at most ``CHUNK_ELEMENTS`` log
+    weights, or of one bundle when its n x n is larger.  Each chunk's sums
+    are unpacked into one reused C-contiguous buffer, so the softmax and
+    entropy reduce every row in the order a fresh array would.
+    """
+    n = math.isqrt(8 * stack.shape[-1] + 1) // 2  # the triangle holds n(n+1)/2
+    index = square_index(n)
+    base = add_terms(0.0, (terms[p] for p in picked for terms in stack))
+    per_chunk = max(1, CHUNK_ELEMENTS // (n * n))
+    square = np.empty((min(per_chunk, len(ids)), n, n))
+    gains = np.empty(len(ids))
+    for start in range(0, len(ids), per_chunk):
+        chunk = ids[start:start + per_chunk]
+        sums = add_terms(base, (terms[chunk] for terms in stack))
+        # mode="clip" writes straight into out; "raise" buffers it
+        np.take(sums, index, axis=-1, out=square[:len(chunk)], mode="clip")
+        gains[start:start + len(chunk)] = gain_bits(square[:len(chunk)])
+    return gains
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,8 +244,13 @@ def _beliefs(log_weights: np.ndarray) -> np.ndarray:
 def bits(probs: np.ndarray) -> np.ndarray:
     """Mutual information in bits of each ``n x n`` channel of shape
     ``(..., n, n)`` under a uniform prior: ``log2(n)`` minus the mean row
-    entropy."""
-    return math.log2(probs.shape[-1]) - row_entropies_bits(probs).mean(axis=-1)
+    entropy, floored at 0.
+
+    A row near uniform can sum to an entropy that rounds above ``log2(n)``;
+    the floor reports such a channel's gain as 0 rather than a negative
+    rounding residue such as -4.4e-16.
+    """
+    return np.maximum(math.log2(probs.shape[-1]) - row_entropies_bits(probs).mean(axis=-1), 0.0)
 
 
 def gain_bits(log_weights: np.ndarray) -> np.ndarray:

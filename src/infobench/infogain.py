@@ -20,14 +20,13 @@ import numpy as np
 from .confusion import (
     DEFAULT_NOISE,
     ConfusionMatrix,
-    add_terms,
     bits,
     check_row_stochastic,
     confusion,  # noqa: F401  (unused here; perfbench/tracing.py wraps infogain.confusion)
     gain_bits,
     log_weight_matrix,
     log_weight_stack,
-    square_index,
+    stack_gains,
 )
 from .errors import InputError
 from .perf import Measure, MetricKey, PerformanceTable
@@ -37,11 +36,6 @@ EPS_GAIN = 1e-9
 SELECTION_MODES = ("win", "score", "combined")
 
 DEFAULT_MODE = "combined"
-
-# stack_gains scores its bundles in chunks of at most this many log weights
-# (256 KiB of float64), or of one bundle when its n x n is larger, so each
-# chunk's passes stay in cache
-CHUNK_ELEMENTS = 2**15
 
 
 def mutual_information(matrix: ConfusionMatrix | np.ndarray) -> float:
@@ -78,30 +72,6 @@ def metric_keys_for(problem: str, mode: str) -> tuple[MetricKey, ...]:
     raise InputError(f"unknown mode {mode!r}, expected one of {SELECTION_MODES}")
 
 
-def stack_gains(base: np.ndarray, stack: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Gain in bits of ``base`` plus each bundle ``ids`` picks from a
-    ``log_weight_stack``, its terms added in key order by ``add_terms``.
-    ``base`` is an upper triangle too.
-
-    The bundles are scored in chunks of at most ``CHUNK_ELEMENTS`` log
-    weights, or of one bundle when its n x n is larger.  Each chunk's sums
-    are unpacked into one reused C-contiguous buffer, so the softmax and
-    entropy reduce every row in the order a fresh array would.
-    """
-    n = math.isqrt(8 * stack.shape[-1] + 1) // 2  # the triangle holds n(n+1)/2
-    index = square_index(n)
-    per_chunk = max(1, CHUNK_ELEMENTS // (n * n))
-    square = np.empty((min(per_chunk, len(ids)), n, n))
-    gains = np.empty(len(ids))
-    for start in range(0, len(ids), per_chunk):
-        chunk = ids[start:start + per_chunk]
-        sums = add_terms(base, (terms[chunk] for terms in stack))
-        # mode="clip" writes straight into out; "raise" buffers it
-        np.take(sums, index, axis=-1, out=square[:len(chunk)], mode="clip")
-        gains[start:start + len(chunk)] = gain_bits(square[:len(chunk)])
-    return gains
-
-
 def problem_gains(table: PerformanceTable, noise: str = DEFAULT_NOISE) -> dict[str, np.ndarray]:
     """Gain in bits of every problem, in ``table.problems`` order, under
     each selection mode.
@@ -114,10 +84,9 @@ def problem_gains(table: PerformanceTable, noise: str = DEFAULT_NOISE) -> dict[s
     stack = log_weight_stack(
         table, [metric_keys_for(problem, "combined") for problem in table.problems], noise
     )
-    base = np.zeros(stack.shape[2:])
     every = np.arange(len(table.problems))
     return {
-        mode: stack_gains(base, terms, every)
+        mode: stack_gains(terms, (), every)
         for mode, terms in zip(SELECTION_MODES, (stack[:1], stack[1:], stack))
     }
 
@@ -213,19 +182,19 @@ def greedy_select(
         )
         k = len(names)
 
-    # each key's term is computed once; a candidate's log weights are the
-    # selected set's running sum plus its own terms, added in the order
+    # each key's term is computed once; stack_gains adds the picked bundles'
+    # terms, then each candidate's, in the order
     # info_gain_set(selected + candidate) would, so gains are bit-identical
     stack = log_weight_stack(table, bundles, noise)
     remaining = np.arange(len(names))  # indices into names, so in sorted order
-    selected_log_weights = np.zeros(stack.shape[-1])
+    picked: list[int] = []
     steps: list[SelectionStep] = []
     negatives: list[NegativeMarginal] = []
     cumulative = 0.0
     stop_reason = None
 
     for step in range(1, k + 1):
-        totals = stack_gains(selected_log_weights, stack, remaining)
+        totals = stack_gains(stack, picked, remaining)
         gains = totals - cumulative
         for i in np.flatnonzero(gains < -eps_gain):
             negatives.append(NegativeMarginal(step, names[remaining[i]], float(gains[i])))
@@ -239,7 +208,7 @@ def greedy_select(
                 f"{eps_gain:g} bits (best was {best!r} at {gains[pick]:.3g} bits)"
             )
             break
-        selected_log_weights = add_terms(selected_log_weights, stack[:, remaining[pick]])
+        picked.append(int(remaining[pick]))
         steps.append(SelectionStep(best, float(gains[pick]), float(totals[pick])))
         cumulative = float(totals[pick])
         remaining = np.delete(remaining, pick)

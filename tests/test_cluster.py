@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import infobench
 from conftest import PEARSON_123_124, random_score_table, score_table
 from infobench.cluster import CorrelationMatrix, cluster, correlation_matrix
 from infobench.errors import DomainError, InputError
@@ -43,6 +49,42 @@ class TestCorrelationMatrix:
         assert np.isnan(corr.values[i]).all()
         assert np.isnan(corr.values[:, i]).all()
         assert list(corr.defined_mask) == [np.False_, np.True_]
+
+    def test_constant_profiles_with_rounded_means_are_undefined(self):
+        # the rounded mean of seven 0.1s or 0.7s is not the value itself, so
+        # centering leaves residues that a norm test would read as variation
+        x = np.arange(7.0)
+        corr = corr_of({"c1": (0.1,) * 7, "c2": (0.7,) * 7, "lin": x, "sq": x * x})
+        for name in ("c1", "c2"):
+            assert np.isnan(corr.values[corr.problems.index(name)]).all()
+        assert cluster(corr).clusters == (("lin", "sq"),)
+        assert cluster(corr).excluded == ("c1", "c2")
+
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        # a BLAS matrix product splits its sums by thread; where OpenBLAS
+        # runs one thread anyway both children agree regardless
+        child = (
+            "import hashlib, numpy as np\n"
+            "from infobench.cluster import correlation_matrix\n"
+            "from infobench.perf import Measure, PerformanceTable\n"
+            "rng = np.random.default_rng(9)\n"
+            "score = 50.0 + np.outer(rng.normal(size=50), rng.uniform(0.2, 1.0, 250))\n"
+            "score += rng.normal(0.0, 0.5, score.shape)\n"
+            "win = rng.uniform(0.0, 1.0, score.shape)\n"
+            "rows = [(f'a{i:02d}', f'p{j:03d}', m, float(v[i, j]), 0.5, 10)\n"
+            "        for i in range(50) for j in range(250) for m, v in (('win', win), ('score', score))]\n"
+            "table = PerformanceTable.from_stats(rows, 1e-9)\n"
+            "for measure in Measure:\n"
+            "    print(hashlib.sha256(correlation_matrix(table, measure).values.tobytes()).hexdigest())\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(infobench.__file__).parents[1]))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        outputs = [
+            subprocess.run([sys.executable, "-c", child], env=threads, check=True,
+                           capture_output=True, text=True).stdout
+            for threads in (env, dict(env, OPENBLAS_NUM_THREADS="1"))
+        ]
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-82, 1e-80, 1e200, 1e300])
     def test_scaled_profiles_give_the_unscaled_r(self, scale):

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from conftest import (
     score_table,
 )
 from infobench.confusion import (
+    CHUNK_ELEMENTS,
     NOISE_MODES,
     ConfusionMatrix,
     confusion,
@@ -20,9 +22,10 @@ from infobench.confusion import (
     log_weight_stack,
     log_weight_term,
     square_index,
+    stack_gains,
 )
 from infobench.errors import CompletenessError, DomainError
-from infobench.infogain import CHUNK_ELEMENTS, info_gain_set, stack_gains
+from infobench.infogain import info_gain_set
 from infobench.perf import Measure, MetricKey, PerformanceTable
 from reference_logweight import log_weight_term as reference_log_weight_term
 
@@ -147,8 +150,29 @@ class TestLogWeight:
             for w, key in enumerate(bundle):
                 assert same_bits(np.take(stack[w, b], index), log_weight_matrix(table, [key], noise))
         if n * n > CHUNK_ELEMENTS:
-            gains = stack_gains(np.zeros(stack.shape[-1]), stack, np.arange(len(bundles)))
+            gains = stack_gains(stack, (), np.arange(len(bundles)))
             assert gains.tolist() == [info_gain_set(table, bundle, noise) for bundle in bundles]
+
+
+class TestStackGains:
+    # 60 agents: the default chunk holds 9 bundles, so the 11 candidates
+    # left beside one pick span two chunks
+    N_AGENTS, N_BUNDLES = 60, 12
+
+    @pytest.mark.parametrize("elements", ["one", "default", "all"])
+    @pytest.mark.parametrize("picked", [(), (5,), (9, 0, 4)], ids=["none", "one", "three"])
+    def test_gains_equal_info_gain_set_over_picked_then_candidate(self, monkeypatch, picked, elements):
+        table = random_score_table(np.random.default_rng(21), self.N_AGENTS, 2 * self.N_BUNDLES)
+        keys = score_keys(table)
+        bundles = [keys[2 * b:2 * b + 2] for b in range(self.N_BUNDLES)]
+        stack = log_weight_stack(table, bundles, "sum")
+        ids = np.array([b for b in range(self.N_BUNDLES) if b not in picked])
+        chunk = {"one": 1, "default": CHUNK_ELEMENTS, "all": self.N_AGENTS**2 * self.N_BUNDLES}
+        monkeypatch.setattr(importlib.import_module("infobench.confusion"), "CHUNK_ELEMENTS",
+                            chunk[elements])
+        selected = [key for b in picked for key in bundles[b]]
+        gains = stack_gains(stack, picked, ids)
+        assert gains.tolist() == [info_gain_set(table, selected + bundles[b]) for b in ids]
 
 
 class TestConfusion:

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from conftest import full_table, score_table
-from infobench import infogain
 from infobench.errors import DomainError, InputError
 from infobench.infogain import (
     greedy_select,
@@ -270,7 +269,7 @@ class TestChunkedScoring:
         one_per_chunk = 1
         all_in_one = self.N_AGENTS**2 * 2 * self.N_PROBLEMS
         for elements in (one_per_chunk, all_in_one):
-            monkeypatch.setattr(infogain, "CHUNK_ELEMENTS", elements)
+            monkeypatch.setattr(confusion_module, "CHUNK_ELEMENTS", elements)
             assert greedy_select(table, 6, mode, per_key=per_key) == default
 
     @pytest.mark.parametrize("elements", [None, 1, N_AGENTS**2 * 2 * N_PROBLEMS])
@@ -278,7 +277,7 @@ class TestChunkedScoring:
         table = random_table(self.N_AGENTS, self.N_PROBLEMS, seed=11)
         expected_violations = subadditivity_audit(table)
         if elements is not None:
-            monkeypatch.setattr(infogain, "CHUNK_ELEMENTS", elements)
+            monkeypatch.setattr(confusion_module, "CHUNK_ELEMENTS", elements)
         gains = problem_gains(table)
         for mode in ("win", "score", "combined"):
             assert gains[mode].tolist() == [
@@ -314,7 +313,7 @@ class TestChunkedScoring:
             "score": (problems["p00"]["score"][0], np.full(self.N_AGENTS, 1e200)),
         }
         table = full_table(problems)
-        monkeypatch.setattr(infogain, "CHUNK_ELEMENTS", 1)
+        monkeypatch.setattr(confusion_module, "CHUNK_ELEMENTS", 1)
         with pytest.raises(DomainError, match="not finite"):
             greedy_select(table, 3)
 

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from conftest import (
     score_keys,
     score_table,
 )
+from infobench.cli import main
 from infobench.confusion import confusion
 from infobench.errors import CompletenessError, DomainError, InfobenchError
 from infobench.infogain import (
@@ -22,7 +24,7 @@ from infobench.infogain import (
     problem_gains,
     subadditivity_audit,
 )
-from infobench.perf import Measure, MetricKey
+from infobench.perf import Measure, MetricKey, write_stats_csv
 
 G = MetricKey("g", Measure.SCORE)
 
@@ -126,6 +128,33 @@ class TestInfoGainSet:
         table = random_score_table(rng, n, int(rng.integers(1, 5)))
         gain = info_gain_set(table, score_keys(table))
         assert 0.0 <= gain <= math.log2(n) + 1e-9
+
+
+class TestGainFloor:
+    # every agent alike gives uniform beliefs, whose mean row entropy
+    # rounds above log2(n) at these agent counts
+    @pytest.mark.parametrize("n", [7, 10, 14, 26])
+    def test_uninformative_problem_scores_exactly_zero(self, n, tmp_path):
+        table = full_table(
+            {
+                "flat": {"win": ((0.5,) * n, (0.1,) * n), "score": ((3.0,) * n, (1.0,) * n)},
+                "sharp": {
+                    "win": (tuple(np.linspace(0.0, 1.0, n)), (0.1,) * n),
+                    "score": (tuple(10.0 * i for i in range(n)), (1.0,) * n),
+                },
+            }
+        )
+        gains = problem_gains(table)
+        for mode in ("win", "score", "combined"):
+            assert info_gain_set(table, metric_keys_for("flat", mode)) == 0.0
+            assert gains[mode][table.problems.index("flat")] == 0.0
+        stats = tmp_path / "stats.csv"
+        with open(stats, "w", newline="") as f:
+            write_stats_csv(table, f)
+        assert main(["info-gain", "--stats", str(stats), "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "info_gain.csv") as f:
+            rows = {r[0]: r[1:] for r in list(csv.reader(f))[1:]}
+        assert rows["flat"] == ["0.0", "0.0", "0.0"]
 
 
 class TestInfoGainCombined:
