@@ -20,7 +20,10 @@ from . import __version__
 from .cluster import DEFAULT_THRESHOLD, cluster, correlation_matrix
 from .confusion import DEFAULT_NOISE, NOISE_MODES, confusion
 from .errors import DomainError, InputError
-from .heatmap import render_heatmap
+from .heatmap import (
+    heatmap_lines,
+    render_heatmap,  # noqa: F401  (unused here; perfbench/tracing.py wraps cli.render_heatmap)
+)
 from .infogain import (
     DEFAULT_MODE,
     EPS_GAIN,
@@ -150,9 +153,8 @@ def _csv(f, header, rows) -> None:
 
 def _write_str(f, text: str) -> None:
     # a text file encodes each str it is given into one bytes copy; in
-    # 1 MiB slices that copy stays small, where a whole heatmap's copy
-    # added up to 8 MB to correlate's peak RSS, depending on where
-    # malloc placed it
+    # 1 MiB slices a whole JSON text's copy stays small.  Heatmaps do not
+    # come here: their SVG lines are written as heatmap_lines makes them
     for start in range(0, len(text), 1 << 20):
         f.write(text[start:start + (1 << 20)])
 
@@ -292,8 +294,8 @@ def _measure_files(name: str, corr, clustering, threshold: float) -> list:
             "clusters": [list(c) for c in clustering.clusters],
             "no_correlation_measure": list(clustering.excluded),
         })),
-        (f"heatmap_{name}.svg", lambda f: _write_str(
-            f, render_heatmap(corr, clustering, title=f"problem correlation ({name})"))),
+        (f"heatmap_{name}.svg", lambda f: f.writelines(
+            heatmap_lines(corr, clustering, title=f"problem correlation ({name})"))),
     ]
 
 

@@ -10,6 +10,7 @@ block, when present).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from html import escape
 
 import numpy as np
@@ -45,26 +46,29 @@ def _fill_codes(grid: np.ndarray) -> np.ndarray:
     return codes
 
 
-def render_heatmap(
+def heatmap_lines(
     corr: CorrelationMatrix, clustering: ClusterResult, title: str = ""
-) -> str:
-    """Render the matrix as standalone SVG text in cluster display order."""
+) -> Iterator[str]:
+    """Yield the standalone SVG text in cluster display order, piece by
+    piece: each header, label, separator and trailer line, and one string
+    per row of cells.  Every piece ends in ``"\\n"``, so a writer can put
+    them out as they come and hold one row, not the whole text."""
     order = clustering.display_order
     n = len(order)
     width = LABEL_SPACE + n * CELL + 20
     height = LABEL_SPACE + n * CELL + 20
     x0 = y0 = LABEL_SPACE
 
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
+    yield '<?xml version="1.0" encoding="UTF-8"?>\n'
+    yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        '<rect width="100%" height="100%" fill="white"/>',
-    ]
+        f'viewBox="0 0 {width} {height}">\n'
+    )
+    yield '<rect width="100%" height="100%" fill="white"/>\n'
     if title:
-        parts.append(
+        yield (
             f'<text x="{x0}" y="16" font-size="12" font-family="sans-serif">'
-            f"{escape(title, quote=False)}</text>"
+            f"{escape(title, quote=False)}</text>\n"
         )
 
     position = {p: i for i, p in enumerate(corr.problems)}
@@ -77,26 +81,25 @@ def render_heatmap(
     ]
     for row, (name_row, values, codes) in enumerate(zip(names, grid, _fill_codes(grid))):
         y_part = f' y="{y0 + row * CELL}" width="{CELL}" height="{CELL}" fill="'
-        title = f'"><title>{name_row}'
-        # one string per row, so the parts hold n strings, not n**2
-        parts.append("\n".join(
-            f"{x_part}{y_part}{_FILLS[code]}{title}{name_part}"
-            f'{"undefined" if v != v else f"{v:+.4f}"}</title></rect>'
+        tip = f'"><title>{name_row}'
+        yield "".join(
+            f"{x_part}{y_part}{_FILLS[code]}{tip}{name_part}"
+            f'{"undefined" if v != v else f"{v:+.4f}"}</title></rect>\n'
             for (x_part, name_part), v, code in zip(columns, values.tolist(), codes.tolist())
-        ))
+        )
 
     for row, p in enumerate(names):
         y = y0 + row * CELL + CELL - 4
-        parts.append(
+        yield (
             f'<text x="{x0 - 4}" y="{y}" font-size="{FONT}" text-anchor="end" '
-            f'font-family="sans-serif">{p}</text>'
+            f'font-family="sans-serif">{p}</text>\n'
         )
     for col, p in enumerate(names):
         x = x0 + col * CELL + CELL - 4
-        parts.append(
+        yield (
             f'<text x="{x}" y="{y0 - 4}" font-size="{FONT}" text-anchor="start" '
             f'font-family="sans-serif" transform="rotate(-90 {x} {y0 - 4})">'
-            f"{p}</text>"
+            f"{p}</text>\n"
         )
 
     boundaries = []
@@ -108,15 +111,20 @@ def render_heatmap(
     extent = n * CELL
     for b in boundaries:
         offset = b * CELL
-        parts.append(
+        yield (
             f'<line x1="{x0 + offset}" y1="{y0}" x2="{x0 + offset}" '
-            f'y2="{y0 + extent}" stroke="black" stroke-width="1.5"/>'
+            f'y2="{y0 + extent}" stroke="black" stroke-width="1.5"/>\n'
         )
-        parts.append(
+        yield (
             f'<line x1="{x0}" y1="{y0 + offset}" x2="{x0 + extent}" '
-            f'y2="{y0 + offset}" stroke="black" stroke-width="1.5"/>'
+            f'y2="{y0 + offset}" stroke="black" stroke-width="1.5"/>\n'
         )
 
-    parts.append("</svg>\n")
-    return "\n".join(parts)
+    yield "</svg>\n"
 
+
+def render_heatmap(
+    corr: CorrelationMatrix, clustering: ClusterResult, title: str = ""
+) -> str:
+    """Render the matrix as standalone SVG text in cluster display order."""
+    return "".join(heatmap_lines(corr, clustering, title))

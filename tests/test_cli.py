@@ -214,10 +214,11 @@ class TestPipeline:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one heatmap's SVG text, about 130 bytes a cell, and its render's
-        # temporaries; holding the first heatmap's text while rendering the
-        # second, with its JSON document and matrix, took about 520
-        assert peak / 120**2 <= 480
+        # each SVG line is written as it is made, so no heatmap text is
+        # held and the peak is about 120 bytes a cell; holding one
+        # heatmap's whole text and its row strings took about 310, and
+        # holding both heatmaps' texts about 520
+        assert peak / 120**2 <= 160
 
 
     def test_large_texts_are_written_in_slices(self, tmp_path):
