@@ -89,15 +89,21 @@ def _comma_list(text: str) -> tuple[str, ...]:
     return tuple(f.strip() for f in text.split(",") if f.strip())
 
 
+def _config_actions(command: argparse.ArgumentParser):
+    """``(key, action)`` for each option of ``command`` a config file can
+    set, keyed by long flag name without ``--``: every option but
+    ``--help``, ``--config`` and the required ones."""
+    for action in command._actions:
+        if action.option_strings and action.dest not in ("help", "config") and not action.required:
+            yield action.option_strings[0].lstrip("-"), action
+
+
 def _config_defaults(command: argparse.ArgumentParser, config: dict[str, str]) -> dict:
     """Typed defaults for one subcommand from config entries keyed by long
     flag name without ``--``.  Keys the command does not take, and its
     required options, are ignored."""
     defaults = {}
-    for action in command._actions:
-        if not action.option_strings or action.dest in ("help", "config") or action.required:
-            continue
-        key = action.option_strings[0].lstrip("-")
+    for key, action in _config_actions(command):
         if key not in config:
             continue
         try:
@@ -124,8 +130,10 @@ def _write_files(args: argparse.Namespace, files) -> None:
     whose format ``--format`` leaves out is skipped; any other file, and
     every file of a command without ``--format``, is written.  A
     ``--format`` that leaves no file is an ``InputError``.  Commands call
-    this once, after computing everything, so an error leaves no files
-    and no ``--out``."""
+    this once, after computing everything, so an error in reading or
+    computing leaves no files and no ``--out``.  An ``OSError`` while
+    writing stops at the file it hit, which may be left part-written;
+    ``--out`` and the files written before it stay."""
     formats = getattr(args, "formats", ALL_FORMATS)
     suffixes = [name.rpartition(".")[2] for name, _ in files]
     chosen = [
@@ -175,16 +183,18 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         ("stats.csv", lambda f: write_stats_csv(table, f)),
         ("stats.json", lambda f: _json(f, stats_json_document(table))),
     ])
-    per_pair = table.counts[:, :: 2]  # one column per problem (win/score share the count)
+    # win and score share each pair's count, so over all keys the min,
+    # mean and max are the pairs'
+    counts = table.counts
     print(f"agents:   {len(table.agents)}")
     print(f"problems: {len(table.problems)}")
     print(f"records:  {len(records)}")
     print(
         "samples per agent-problem pair: "
-        f"min {per_pair.min()} / avg {per_pair.mean():.1f} / max {per_pair.max()}"
+        f"min {counts.min()} / avg {counts.mean():.1f} / max {counts.max()}"
     )
-    for i, agent in enumerate(table.agents):
-        print(f"  {agent}: avg {per_pair[i].mean():.1f} samples per problem")
+    for agent, row in zip(table.agents, counts):
+        print(f"  {agent}: avg {row.mean():.1f} samples per problem")
     return 0
 
 
@@ -462,8 +472,16 @@ def main(argv: list[str] | None = None) -> int:
             # the config file supplies defaults for the chosen command only,
             # so a second parse lets explicit flags win over it
             commands = next(a for a in parser._actions if a.dest == "command")
+            config = _read_config_file(args.config)
+            unread = config.keys() - {
+                key for sub in commands.choices.values() for key, _ in _config_actions(sub)
+            }
+            if unread:
+                warnings.warn(
+                    f"config key(s) no command takes from a config file: {', '.join(sorted(unread))}"
+                )
             command = commands.choices[args.command]
-            command.set_defaults(**_config_defaults(command, _read_config_file(args.config)))
+            command.set_defaults(**_config_defaults(command, config))
             args = parser.parse_args(argv)
         bad = [f for f in getattr(args, "formats", ()) if f not in ALL_FORMATS]
         if bad:

@@ -26,6 +26,14 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def stats_file(tmp_path, table):
+    """Write ``table`` to ``tmp_path / "stats.csv"`` and give that path."""
+    stats = tmp_path / "stats.csv"
+    with open(stats, "w", newline="") as f:
+        write_stats_csv(table, f)
+    return stats
+
+
 def stats_json(*cells):
     """Stats JSON text whose cells are a valid win cell with some fields replaced."""
     base = {"agent": "a", "problem": "g", "measure": "win", "mean": 0.5, "stddev": 0.1, "count": 3}
@@ -130,9 +138,7 @@ class TestPipeline:
                 },
             }
         )
-        stats = tmp_path / "stats.csv"
-        with open(stats, "w", newline="") as f:
-            write_stats_csv(table, f)
+        stats = stats_file(tmp_path, table)
         assert run("info-gain", "--stats", stats, "--out", tmp_path) == 0
         with open(tmp_path / "info_gain.csv") as f:
             rows = {r[0]: r for r in list(csv.reader(f))[1:]}
@@ -146,9 +152,7 @@ class TestPipeline:
         # adding "blur" after "sharp" destroys information (see test_greedy)
         table = score_table({"blur": ((-0.8, 1.0), (5.0, 1.6)),
                              "sharp": ((-0.6, -0.8), (0.3, 1.7))})
-        stats = tmp_path / "stats.csv"
-        with open(stats, "w", newline="") as f:
-            write_stats_csv(table, f)
+        stats = stats_file(tmp_path, table)
         assert run("select", "--stats", stats, "--metric", "score", "--k", 2,
                    "--out", tmp_path) == 0
         doc = json.loads((tmp_path / "selection.json").read_text())
@@ -161,12 +165,32 @@ class TestPipeline:
         assert lines[-2].startswith("(early stop: stopped at step 2")
 
     def test_json_outputs_reemit_byte_identically(self, corpus):
-        run("info-gain", "--stats", corpus / "stats.csv", "--out", corpus)
-        run("select", "--stats", corpus / "stats.csv", "--k", 3, "--out", corpus)
-        for name in ("stats.json", "info_gain.json", "selection.json"):
-            text = (corpus / name).read_text()
+        # the writer's C-encoder layout must equal the stdlib's indent=2
+        # text on each Python version, for every JSON file a command writes
+        stats = ("--stats", corpus / "stats.csv", "--out", corpus)
+        assert run("info-gain", *stats) == 0
+        assert run("select", *stats, "--k", 3) == 0
+        assert run("correlate", *stats) == 0
+        assert run("confusion", *stats, "--problems", "prob00,prob01") == 0
+        written = sorted(p.name for p in corpus.glob("*.json"))
+        assert written == sorted(name for files in self.FORMAT_FILES.values()
+                                 for name in files.get("json", ()))
+        for name in written:
+            text = (corpus / name).read_text(encoding="utf-8")
             again = json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
             assert text == again, name
+
+    def test_top_gain_is_greedys_first_pick_as_text(self, tmp_path):
+        # 40 agents give 1,600 log weights per candidate, so info-gain and
+        # select score the 30 problems in two chunks through one scorer
+        assert run("synth", "--agents", 40, "--problems", 30, "--samples", 20, "--gap", 0.5,
+                   "--seed", 3, "--out", tmp_path) == 0
+        assert run("ingest", "--input", tmp_path / "playthroughs.csv", "--out", tmp_path) == 0
+        assert run("info-gain", "--stats", tmp_path / "stats.csv", "--out", tmp_path) == 0
+        assert run("select", "--stats", tmp_path / "stats.csv", "--out", tmp_path) == 0
+        top = (tmp_path / "info_gain.csv").read_text().splitlines()[1].split(",")
+        first = (tmp_path / "selection.csv").read_text().splitlines()[1].split(",")
+        assert (top[0], top[3]) == (first[1], first[3])
 
     # the files each command writes, by format; "" marks a file written
     # whatever --format says
@@ -183,7 +207,7 @@ class TestPipeline:
         "confusion": {"csv": {"confusion.csv"}, "json": {"confusion.json"}},
     }
 
-    @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+    @pytest.mark.parametrize("fmt", ["csv", "json", "svg", "csv,json"])
     @pytest.mark.parametrize("command", FORMAT_FILES)
     def test_format_filtering(self, corpus, command, fmt):
         source = {
@@ -192,7 +216,7 @@ class TestPipeline:
         }.get(command, ["--stats", corpus / "stats.csv"])
         out = corpus / "only"
         files = self.FORMAT_FILES[command]
-        expected = files.get(fmt, set()) | files.get("", set())
+        expected = set().union(*(files.get(f, set()) for f in ["", *fmt.split(",")]))
         if not expected:
             # a --format that selects none of the command's files is bad usage
             assert run(command, *source, "--out", out, "--format", fmt) == 2
@@ -335,9 +359,7 @@ class TestExitCodes:
         # correlation over two agents is undefined
         table = score_table({"g": ((0.0, 1.0), (1.0, 1.0)),
                              "h": ((1.0, 0.0), (1.0, 1.0))})
-        stats = tmp_path / "stats.csv"
-        with open(stats, "w", newline="") as f:
-            write_stats_csv(table, f)
+        stats = stats_file(tmp_path, table)
         assert run("correlate", "--stats", stats, "--out", tmp_path) == 1
         assert "three agents" in capsys.readouterr().err
 
@@ -478,6 +500,15 @@ class TestExitCodes:
         assert fault in capsys.readouterr().err
         assert not out.exists()
 
+    def test_write_error_keeps_the_files_written_before_it(self, corpus, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "stats.json").mkdir(parents=True)
+        assert run("ingest", "--input", corpus.parent / "data" / "playthroughs.csv",
+                   "--out", out) == 2
+        assert "error:" in capsys.readouterr().err
+        assert (out / "stats.csv").read_bytes() == (corpus / "stats.csv").read_bytes()
+        assert (out / "stats.json").is_dir()
+
     def test_byte_order_mark_header_is_accepted(self, tmp_path):
         rows = "agent,problem,score,win\na1,g,1.0,1\na1,g,2.5,0\na2,g,4.0,1\na2,g,0.5,0\n"
         plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
@@ -501,10 +532,7 @@ class TestExitCodes:
         # squared noise scale overflows and must not read as log2(3) bits
         table = full_table({"g": {"win": ((0.5, 0.5, 0.5), (1e200, 1e200, 0.1)),
                                   "score": ((1.0, 1.0, 1.0), (1e200, 1e200, 1.0))}})
-        stats = tmp_path / "stats.csv"
-        with open(stats, "w", newline="") as f:
-            write_stats_csv(table, f)
-        return stats
+        return stats_file(tmp_path, table)
 
     def test_non_finite_belief_weights_exit_1_without_output(self, tmp_path, capsys):
         stats = self.huge_noise_stats(tmp_path)
@@ -545,9 +573,7 @@ class TestExitCodes:
             p: {"win": (wins, (0.1, 0.1, 0.1)), "score": ((5.0, 5.0, 5.0), (1.0, 1.0, 1.0))}
             for p, wins in (("g1", (0.2, 0.5, 0.9)), ("g2", (0.3, 0.4, 0.8)))
         })
-        stats = tmp_path / "stats.csv"
-        with open(stats, "w", newline="") as f:
-            write_stats_csv(table, f)
+        stats = stats_file(tmp_path, table)
         out = tmp_path / "out"
         assert run("correlate", "--stats", stats, "--out", out) == 1
         assert "error: no problem has a defined correlation" in capsys.readouterr().err
@@ -562,9 +588,7 @@ class TestExitCodes:
                 "score": ([1e200 * s for s in signs], (1.0,) * 4)}
             for p, signs in profiles.items()
         })
-        stats = tmp_path / "stats.csv"
-        with open(stats, "w", newline="") as f:
-            write_stats_csv(table, f)
+        stats = stats_file(tmp_path, table)
         out = tmp_path / "out"
         assert run("correlate", "--stats", stats, "--out", out) == 0
         doc = json.loads((out / "correlation_score.json").read_text())
@@ -628,9 +652,7 @@ class TestExitCodes:
 
     def test_missing_measure_exits_2_without_output(self, tmp_path, capsys):
         table = score_table({"g": ((0.0, 1.0, 2.0), (1.0, 1.0, 1.0))})
-        stats = tmp_path / "stats.csv"
-        with open(stats, "w", newline="") as f:
-            write_stats_csv(table, f)
+        stats = stats_file(tmp_path, table)
         out = tmp_path / "out"
         assert run("select", "--stats", stats, "--k", 1, "--out", out) == 2
         assert "no cell for problem 'g' measure 'win'" in capsys.readouterr().err
@@ -829,6 +851,17 @@ class TestConfigFile:
         assert run("correlate", "--stats", corpus / "stats.csv", "--out", corpus,
                    "--config", cfg) == 0
 
+    def test_config_key_no_command_takes_is_named_in_one_warning(self, corpus, tmp_path):
+        # "eps_gain" is not "eps-gain" and "stats" must be a flag, so neither
+        # sets anything; "threshold" is correlate's and stays silent
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("eps_gain=0.5\nthreshold=0.5\nstats=other.csv\nk=2\n")
+        with pytest.warns(UserWarning) as caught:
+            assert run("select", "--stats", corpus / "stats.csv", "--out", corpus,
+                       "--config", cfg) == 0
+        assert [str(w.message) for w in caught] == [
+            "config key(s) no command takes from a config file: eps_gain, stats"]
+
     @pytest.mark.parametrize("argv", [
         ("info-gain", "--stats", "stats.csv", "--sigma-floor", "1"),
         ("synth", "--format", "csv"),
@@ -856,10 +889,7 @@ def blocky_stats(tmp_path):
             "flat": {"win": ((0.5,) * 4, (0.4,) * 4), "score": ((3.0,) * 4, (1.0,) * 4)},
         }
     )
-    stats = tmp_path / "stats.csv"
-    with open(stats, "w", newline="") as f:
-        write_stats_csv(table, f)
-    return stats
+    return stats_file(tmp_path, table)
 
 
 class TestHeatmap:
@@ -916,9 +946,7 @@ class TestHeatmap:
             p: {"win": (values, (0.4,) * 4), "score": unit_noise(values)}
             for p, values in ((name, up), ("down", up[::-1]), ("tilt", (1.0, 3.0, 2.0, 4.0)))
         })
-        stats = tmp_path / "stats.csv"
-        with open(stats, "w", newline="") as f:
-            write_stats_csv(table, f)
+        stats = stats_file(tmp_path, table)
         assert run("correlate", "--stats", stats, "--out", tmp_path, "--format", "svg") == 0
         svg = (tmp_path / "heatmap_score.svg").read_text()
         escaped = "a&amp;b&lt;c&gt;\"d'e"
