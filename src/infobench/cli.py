@@ -39,7 +39,8 @@ from .perf import (
     PerformanceTable,
     SIGMA_FLOOR_DEFAULT,
     aggregate,
-    dumps_canonical_json,
+    canonical_json_pieces,
+    dumps_canonical_json,  # noqa: F401  (unused here; perfbench/tracing.py wraps cli.dumps_canonical_json)
     load_stats,
     parse_records_path,
     stats_json_document,
@@ -142,8 +143,9 @@ def _write_files(args: argparse.Namespace, files) -> None:
     ]
     if not chosen:
         offered = ", ".join(f for f in ALL_FORMATS if f in suffixes)
+        given = ",".join(formats) or "''"
         raise InputError(
-            f"--format {','.join(formats)} selects none of {args.command}'s formats: {offered}"
+            f"--format {given} selects none of {args.command}'s formats: {offered}"
         )
     args.out.mkdir(parents=True, exist_ok=True)
     for name, write in chosen:
@@ -159,16 +161,9 @@ def _csv(f, header, rows) -> None:
     w.writerows(rows)
 
 
-def _write_str(f, text: str) -> None:
-    # a text file encodes each str it is given into one bytes copy; in
-    # 1 MiB slices a whole JSON text's copy stays small.  Heatmaps do not
-    # come here: their SVG lines are written as heatmap_lines makes them
-    for start in range(0, len(text), 1 << 20):
-        f.write(text[start:start + (1 << 20)])
-
-
 def _json(f, doc) -> None:
-    _write_str(f, dumps_canonical_json(doc))
+    # written piece by piece as made, as heatmap lines are: no whole text is held
+    f.writelines(canonical_json_pieces(doc))
 
 
 # ---------------------------------------------------------------------------

@@ -537,19 +537,24 @@ def stats_json_document(table: PerformanceTable) -> dict:
     }
 
 
+def canonical_json_pieces(document) -> Iterator[str]:
+    """The text of ``dumps_canonical_json(document)`` as consecutive
+    pieces: each scalar's or flat container's text with the separator
+    before it, and each closing bracket of a container of containers."""
+    yield from _encode_json(document, "\n")
+    yield "\n"
+
+
 def dumps_canonical_json(document) -> str:
-    """Canonical JSON text: sorted keys, 2-space indent, trailing newline;
-    the text of ``json.dumps(document, indent=2, sort_keys=True,
+    """Canonical JSON text, the join of ``canonical_json_pieces``: the
+    text of ``json.dumps(document, indent=2, sort_keys=True,
     allow_nan=False)`` and a newline.  A dict that holds a container must
     have ``str`` keys, as every document written here does.
 
     Emitted files re-serialize byte-identically after a parse round
     trip.
     """
-    parts: list[str] = []
-    _encode_json(document, "\n", parts)
-    parts.append("\n")
-    return "".join(parts)
+    return "".join(canonical_json_pieces(document))
 
 
 _JSON_SCALARS = (str, int, float, type(None))
@@ -570,35 +575,34 @@ def _flat_json(newline: str) -> Callable[[object], str]:
     ).encode
 
 
-def _encode_json(value, newline: str, parts: list[str]) -> None:
-    """Append the ``indent=2`` JSON text of ``value``, whose first line
-    starts with ``newline`` (a line break and the indent), to ``parts``."""
+def _encode_json(value, newline: str, prefix: str = "") -> Iterator[str]:
+    """Yield the ``indent=2`` JSON text of ``value``, whose first line
+    starts with ``newline`` (a line break and the indent), after
+    ``prefix``, the separator before it, held in its first piece."""
     if isinstance(value, dict):
         items = value.values()
     elif isinstance(value, (list, tuple)):
         items = value
     else:
-        parts.append(_flat_json(newline)(value))
+        yield prefix + _flat_json(newline)(value)
         return
     inner = newline + "  "
     if all(isinstance(item, _JSON_SCALARS) for item in items):
         text = _flat_json(inner)(value)
         # the C encoder's text lacks the line breaks just inside the brackets
-        parts.append(f"{text[0]}{inner}{text[1:-1]}{newline}{text[-1]}" if items else text)
+        yield f"{prefix}{text[0]}{inner}{text[1:-1]}{newline}{text[-1]}" if items else prefix + text
     elif isinstance(value, dict):
-        separator = "{" + inner
+        separator = prefix + "{" + inner
         for key in sorted(value):
-            parts += separator, encode_basestring_ascii(key), ": "
-            _encode_json(value[key], inner, parts)
+            yield from _encode_json(value[key], inner, separator + encode_basestring_ascii(key) + ": ")
             separator = "," + inner
-        parts += newline, "}"
+        yield newline + "}"
     else:
-        separator = "[" + inner
+        separator = prefix + "[" + inner
         for item in value:
-            parts.append(separator)
-            _encode_json(item, inner, parts)
+            yield from _encode_json(item, inner, separator)
             separator = "," + inner
-        parts += newline, "]"
+        yield newline + "]"
 
 
 def read_stats_csv(stream: IO[str]) -> PerformanceTable:

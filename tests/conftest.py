@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,16 @@ from infobench.perf import (
     aggregate,
 )
 from infobench.synth import Archetype, SynthSpec, _archetype_params, generate
+
+
+def traced_peak(fn, *args) -> int:
+    """The ``tracemalloc`` peak, in bytes, of one call ``fn(*args)``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def playthroughs(rows):

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -15,9 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import full_table, score_table
+from conftest import full_table, score_table, traced_peak
 import infobench
-from infobench.cli import _write_str, main
+from infobench.cli import main
 from infobench.perf import stats_json_document, write_stats_csv
 from reference_heatmap import read_heatmap_cells
 
@@ -207,9 +206,9 @@ class TestPipeline:
         "confusion": {"csv": {"confusion.csv"}, "json": {"confusion.json"}},
     }
 
-    @pytest.mark.parametrize("fmt", ["csv", "json", "svg", "csv,json"])
+    @pytest.mark.parametrize("fmt", ["csv", "json", "svg", "csv,json", ","])
     @pytest.mark.parametrize("command", FORMAT_FILES)
-    def test_format_filtering(self, corpus, command, fmt):
+    def test_format_filtering(self, corpus, command, fmt, capsys):
         source = {
             "ingest": ["--input", corpus.parent / "data" / "playthroughs.csv"],
             "confusion": ["--stats", corpus / "stats.csv", "--problems", "prob00,prob01"],
@@ -218,8 +217,12 @@ class TestPipeline:
         files = self.FORMAT_FILES[command]
         expected = set().union(*(files.get(f, set()) for f in ["", *fmt.split(",")]))
         if not expected:
-            # a --format that selects none of the command's files is bad usage
+            # a --format that selects none of the command's files is bad
+            # usage; an empty one shows as ''
             assert run(command, *source, "--out", out, "--format", fmt) == 2
+            given = fmt.strip(",") or "''"
+            assert (f"error: --format {given} selects none of {command}'s formats"
+                    in capsys.readouterr().err)
             assert not out.exists()
             return
         assert run(command, *source, "--out", out, "--format", fmt) == 0
@@ -231,35 +234,18 @@ class TestPipeline:
                    "--seed", 3, "--out", data) == 0
         assert run("ingest", "--input", data / "playthroughs.csv", "--out", data) == 0
         argv = ("correlate", "--stats", data / "stats.csv", "--out", tmp_path / "corr")
-        assert run(*argv) == 0  # the first run fills numpy's and Python's caches
-        tracemalloc.start()
-        try:
+
+        def correlate():
             assert run(*argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # each SVG line is written as it is made, so no heatmap text is
-        # held and the peak is about 120 bytes a cell; holding one
-        # heatmap's whole text and its row strings took about 310, and
-        # holding both heatmaps' texts about 520
-        assert peak / 120**2 <= 160
 
-
-    def test_large_texts_are_written_in_slices(self, tmp_path):
-        # 3.5 MiB with a two-byte character across each 1 MiB slice boundary
-        text = ("é" + "x" * ((1 << 20) - 1)) * 3 + "é" * (1 << 19)
-        path = tmp_path / "big.txt"
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            tracemalloc.start()
-            try:
-                _write_str(f, text)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert path.read_bytes() == text.encode("utf-8")
-        # one slice and its encoder's buffer, about 3 MiB; writing the whole
-        # text at once takes about 7 MiB
-        assert peak <= 4 << 20
+        correlate()  # the first run fills numpy's and Python's caches
+        peak = traced_peak(correlate)
+        # each SVG line and each JSON piece is written as it is made, so
+        # no file's whole text is held and the peak is about 75 bytes a
+        # cell; holding each correlation JSON's whole text took about 119,
+        # one heatmap's whole text and its row strings about 310, and both
+        # heatmaps' texts about 520
+        assert peak / 120**2 <= 100
 
 
 class TestExitCodes:

@@ -1,13 +1,12 @@
 import math
 import random
 import sys
-import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import full_table, score_table
+from conftest import full_table, score_table, traced_peak
 from infobench.errors import DomainError, InputError
 from infobench.infogain import (
     greedy_select,
@@ -292,12 +291,7 @@ class TestChunkedScoring:
         n, problems = 120, 30
         table = random_table(n, problems, seed=4)
         score(table)  # the first run fills numpy's and Python's caches
-        tracemalloc.start()
-        try:
-            score(table)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(score, table)
         # the 60 win and score terms as triangles, 3.5 MB, and a few n x n
         # working arrays: the unpacked chunk, its index, one term's fill and
         # the softmax's temporaries took about 7; whole n x n terms take

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_ingest
-from conftest import playthrough_rows, playthroughs
+from conftest import playthrough_rows, playthroughs, traced_peak
 from infobench.cli import main
 from infobench.errors import InputError, ParseError
 from infobench.perf import (
@@ -246,12 +246,7 @@ def test_aggregate_peak_memory_per_row():
     spec = SynthSpec(27, archetypes("mixed", 20), samples_per_cell=200, seed=5)
     records = generate(spec)
     aggregate(records)  # the first call fills numpy's and Python's caches
-    tracemalloc.start()
-    try:
-        aggregate(records)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(aggregate, records)
     # an int64 code, its sort order and a sorted score per row, with slack;
     # a Python float per row in per-cell lists alone takes 32
     assert peak / len(records) <= 30
@@ -335,12 +330,7 @@ def test_from_stats_peak_memory_per_cell():
     rows = [(f"agent{a:03d}", f"prob{p:02d}", m, a + p / 64, 0.5, 5)
             for a in range(200) for p in range(60) for m in ("score", "win")]
     PerformanceTable.from_stats(rows)  # the first call fills numpy's and Python's caches
-    tracemalloc.start()
-    try:
-        PerformanceTable.from_stats(rows)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(PerformanceTable.from_stats, rows)
     # five list entries, a flat index and three table entries per row, with
     # slack; a dict entry and an (agent, key) tuple per cell took about 260
     assert peak / len(rows) <= 120

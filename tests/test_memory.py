@@ -34,9 +34,11 @@ BOUNDS = [
     # holding each log-weight term as a whole n x n array, not its upper
     # triangle: info-gain and select at about 73 MB
     ("wide", "synth", 64),
-    ("wide", "ingest", 64),
     ("wide", "info-gain", 64),
     ("wide", "select", 64),
+    # holding stats.json's whole text, not writing it piece by piece as it
+    # is made: about 52 MB
+    ("wide", "ingest", 48),
 ]
 
 

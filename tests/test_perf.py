@@ -2,20 +2,20 @@ import io
 import json
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cell, full_table, playthrough_rows, playthroughs
+from conftest import cell, full_table, playthrough_rows, playthroughs, traced_peak
 from infobench.errors import CompletenessError, InputError, ParseError
 from infobench.perf import (
     Measure,
     MetricKey,
     PerformanceTable,
     aggregate,
+    canonical_json_pieces,
     dumps_canonical_json,
     load_stats,
     parse_records,
@@ -456,6 +456,17 @@ class TestCanonicalJson:
         expected = json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
         assert dumps_canonical_json(document) == expected
 
+    def test_pieces_are_one_per_flat_container(self):
+        rows = [(f"a{a}", f"p{p}", m, 0.5, 0.1, 3) for a in range(3) for p in range(2)
+                for m in ("score", "win")]
+        document = stats_json_document(PerformanceTable.from_stats(rows))
+        pieces = list(canonical_json_pieces(document))
+        assert "".join(pieces) == dumps_canonical_json(document)
+        # "agents", each of the 12 cells with its separator, the cells'
+        # "]", "problems", "sigma_floor", the document's "}" and the newline
+        assert len(pieces) == 12 + 6
+        assert all(piece.count('"agent"') == 1 for piece in pieces[1:13])
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_out_of_range_floats_raise(self, value):
         for document in (value, [value], {"k": value}, {"k": [1, {"x": value}]}, [[value]]):
@@ -467,12 +478,7 @@ class TestCanonicalJson:
                 for a in range(200) for p in range(60) for m in ("score", "win")]
         document = stats_json_document(PerformanceTable.from_stats(rows))
         text = dumps_canonical_json(document)  # the first call fills the encoder cache
-        tracemalloc.start()
-        try:
-            dumps_canonical_json(document)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(dumps_canonical_json, document)
         # one string per cell and the joined text; the stdlib's chunk per
         # token and its join peaked at about 7.4 times the text
         assert peak / len(text) <= 3
