@@ -278,9 +278,10 @@ def cmd_select(args: argparse.Namespace) -> int:
     return 0
 
 
-def _matrix(corr) -> list[list]:
-    # None marks an undefined entry: JSON null, an empty CSV field
-    return [[None if math.isnan(v) else v for v in row] for row in corr.values.tolist()]
+def _matrix_rows(corr):
+    """Each row of the correlation matrix as a list, made as it is read.
+    None marks an undefined entry: JSON null, an empty CSV field."""
+    return ([None if math.isnan(v) else v for v in row.tolist()] for row in corr.values)
 
 
 def _measure_files(name: str, corr, clustering, threshold: float) -> list:
@@ -288,13 +289,13 @@ def _measure_files(name: str, corr, clustering, threshold: float) -> list:
     return [
         (f"correlation_{name}.csv", lambda f: _csv(
             f, ["problem", *corr.problems],
-            ([p, *row] for p, row in zip(corr.problems, _matrix(corr))))),
+            ([p, *row] for p, row in zip(corr.problems, _matrix_rows(corr))))),
         (f"clusters_{name}.csv", lambda f: _csv(
             f, ("problem", "cluster_id"), sorted(clustering.assignments().items()))),
         (f"correlation_{name}.json", lambda f: _json(f, {
             "measure": name,
             "problems": list(corr.problems),
-            "matrix": _matrix(corr),
+            "matrix": list(_matrix_rows(corr)),
             "threshold": threshold,
             "clusters": [list(c) for c in clustering.clusters],
             "no_correlation_measure": list(clustering.excluded),

@@ -5,8 +5,11 @@ matrix is the probability of believing an observed mean performance
 came from agent j when it actually came from agent i.  The candidate's
 likelihood of the observed mean uses a normal density whose scale
 combines the two agents' noise levels; over a key set the per-key
-densities multiply.  Everything is evaluated in natural-log space and
-normalized per row with a softmax, so large key sets cannot underflow.
+densities multiply.  Everything is evaluated in natural-log space, so
+large key sets cannot underflow.  ``confusion`` normalizes each row with
+a softmax into probabilities; ``gain_bits`` scores the information of
+the same beliefs straight from the log weights, with no probability or
+per-entry logarithm formed.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ ROW_SUM_TOL = 1e-9
 NOISE_MODES = ("sum", "rss")
 
 DEFAULT_NOISE = "sum"
+
+LOG2_E = math.log2(math.e)
 
 # stack_gains scores its bundles in chunks of at most this many log weights
 # (256 KiB of float64), or of one bundle when its n x n is larger, so each
@@ -64,7 +69,7 @@ def log_weight_term(table: PerformanceTable, key: MetricKey, noise: str) -> np.n
 
     Squared noise scales or mean gaps above ~1e154 overflow, and squared
     scales below ~1e-162 underflow to 0; the inf/NaN weights that follow
-    are rejected before any softmax, never read as a probability.
+    are rejected before any scoring, never read as a belief.
     """
     mu, sd = table.column(key)
     # -(diff * diff) / var2 - 0.5 * log(pi * var2), with var2 = 2 * scale²,
@@ -99,7 +104,7 @@ def add_terms(base: float | np.ndarray, terms: Iterable[np.ndarray]) -> float | 
     """``base`` plus each of ``terms`` in turn, as a new value: every sum of
     log-weight terms is taken here, so sums of the same terms in the same
     order agree bit for bit.  An overflowing sum stays non-finite for
-    ``_beliefs`` to reject, as an overflowing term does."""
+    ``_finite`` to reject, as an overflowing term does."""
     terms = iter(terms)
     with np.errstate(over="ignore", invalid="ignore"):
         total = base + next(terms, 0.0)
@@ -156,8 +161,8 @@ def stack_gains(stack: np.ndarray, picked: Sequence[int], ids: np.ndarray) -> np
 
     The candidates are scored in chunks of at most ``CHUNK_ELEMENTS`` log
     weights, or of one bundle when its n x n is larger.  Each chunk's sums
-    are unpacked into one reused C-contiguous buffer, so the softmax and
-    entropy reduce every row in the order a fresh array would.
+    are unpacked into one reused C-contiguous buffer, so ``gain_bits``
+    reduces every row in the order a fresh array would.
     """
     n = math.isqrt(8 * stack.shape[-1] + 1) // 2  # the triangle holds n(n+1)/2
     index = square_index(n)
@@ -218,19 +223,9 @@ def softmax_rows(log_weights: np.ndarray) -> np.ndarray:
     return log_weights
 
 
-def row_entropies_bits(probs: np.ndarray) -> np.ndarray:
-    """Shannon entropy in bits along the last axis.  Where p = 0 the term
-    is p * log2(1) = 0, the 0 * log(0) = 0 convention."""
-    terms = np.where(probs > 0, probs, 1.0)
-    np.log2(terms, out=terms)
-    terms *= probs
-    return -terms.sum(axis=-1)
-
-
-def _beliefs(log_weights: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of log belief weights, in place, refusing fewer
-    than two agents and inf/NaN weights rather than turning them into
-    probabilities."""
+def _finite(log_weights: np.ndarray) -> np.ndarray:
+    """``log_weights`` as given, refusing fewer than two agents and inf/NaN
+    weights rather than turning them into beliefs."""
     if log_weights.shape[-1] < 2:
         raise DomainError("discrimination undefined for fewer than two algorithms")
     if not np.isfinite(log_weights).all():
@@ -238,32 +233,49 @@ def _beliefs(log_weights: np.ndarray) -> np.ndarray:
             "belief weights are not finite: means or noise scales are too large "
             "or too small to square in floating point"
         )
-    return softmax_rows(log_weights)
-
-
-def bits(probs: np.ndarray) -> np.ndarray:
-    """Mutual information in bits of each ``n x n`` channel of shape
-    ``(..., n, n)`` under a uniform prior: ``log2(n)`` minus the mean row
-    entropy, floored at 0.
-
-    A row near uniform can sum to an entropy that rounds above ``log2(n)``;
-    the floor reports such a channel's gain as 0 rather than a negative
-    rounding residue such as -4.4e-16.
-    """
-    return np.maximum(math.log2(probs.shape[-1]) - row_entropies_bits(probs).mean(axis=-1), 0.0)
+    return log_weights
 
 
 def gain_bits(log_weights: np.ndarray) -> np.ndarray:
     """Information gain in bits of each ``n x n`` slice of log belief
-    weights of shape ``(..., n, n)``: the ``bits`` of their beliefs.
+    weights of shape ``(..., n, n)``: the mean over rows of each row's
+    ``log2(n) + sum(p * log2(p))``, with ``p`` the row's softmax, clipped
+    to ``[0, log2(n)]``.
 
-    Works in place: ``log_weights`` is left holding the probabilities.
+    Computed from the log weights, never from probabilities: with each
+    row shifted by its maximum, ``w' = w - max(w)``, ``s = sum(exp(w'))``
+    and ``t = sum(exp(w') * w')``, a row's bits are
+    ``log2(n / s) + log2(e) * t / s``.  That is one ``exp`` per entry and
+    one ``log2`` per row.  A uniform row has ``w' = 0`` and ``s = n``
+    exactly, so it scores exactly 0; a row whose other weights underflow
+    to 0 scores exactly ``log2(n / 1)``.  Rows near uniform can still
+    round a few ulps below 0, and the mean of rows at ``log2(n)`` a few
+    ulps above it; the clip reports those as 0 and ``log2(n)``.
+
+    Every row and slice reduces in the same order whatever the leading
+    shape, so a C-contiguous chunk of slices scores each as it would
+    alone.  Works in place: ``log_weights`` is left holding the shifted
+    weights ``w'``.
     """
-    return bits(_beliefs(log_weights))
+    n = _finite(log_weights).shape[-1]
+    log_weights -= log_weights.max(axis=-1, keepdims=True)
+    weights = np.exp(log_weights)
+    total = weights.sum(axis=-1)
+    # exp(w') * w' is finite: where exp(w') underflows to 0 the product is
+    # -0.0, and w' never overflows, since no row maximum is near the float range
+    weights *= log_weights
+    row_bits = weights.sum(axis=-1)
+    row_bits /= total
+    row_bits *= LOG2_E
+    np.divide(n, total, out=total)
+    np.log2(total, out=total)
+    row_bits += total
+    return np.clip(row_bits.mean(axis=-1), 0.0, np.log2(n))
 
 
 def confusion(
     table: PerformanceTable, keys: Sequence[MetricKey], noise: str = DEFAULT_NOISE
 ) -> ConfusionMatrix:
     """Confusion matrix over the table's agents for the given key set."""
-    return ConfusionMatrix(table.agents, _beliefs(log_weight_matrix(table, keys, noise)))
+    log_weights = _finite(log_weight_matrix(table, keys, noise))
+    return ConfusionMatrix(table.agents, softmax_rows(log_weights))

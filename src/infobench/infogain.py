@@ -20,7 +20,6 @@ import numpy as np
 from .confusion import (
     DEFAULT_NOISE,
     ConfusionMatrix,
-    bits,
     check_row_stochastic,
     confusion,  # noqa: F401  (unused here; perfbench/tracing.py wraps infogain.confusion)
     gain_bits,
@@ -42,13 +41,18 @@ def mutual_information(matrix: ConfusionMatrix | np.ndarray) -> float:
     """Bits of information one observation yields about the agent identity.
 
     Accepts a ConfusionMatrix or a raw array, checked row-stochastic
-    either way; the ``bits`` of that channel under a uniform agent prior.
+    either way; its bits under a uniform agent prior are the ``gain_bits``
+    of its entries' logs.  A zero entry's log is taken as the most
+    negative float, whose ``exp`` underflows to exactly 0, so it adds
+    exactly 0 bits: the 0 * log(0) = 0 convention.
     """
     if isinstance(matrix, ConfusionMatrix):
         matrix = matrix.probs
     probs = np.asarray(matrix, dtype=float)
     check_row_stochastic(probs)
-    return float(bits(probs))
+    log_probs = np.full(probs.shape, -np.finfo(float).max)
+    np.log(probs, out=log_probs, where=probs > 0)
+    return float(gain_bits(log_probs))
 
 
 def info_gain_set(

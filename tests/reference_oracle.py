@@ -70,16 +70,34 @@ def oracle_confusion_rows(
     return rows
 
 
-def oracle_info_gain(
-    table: PerformanceTable, keys: Sequence[MetricKey], noise: str = "sum"
-) -> float:
-    """Reference information gain in bits by direct summation."""
-    rows = oracle_confusion_rows(table, keys, noise)
+def oracle_bits(rows: Sequence[Sequence[float]]) -> float:
+    """Mutual information in bits of a channel's probability rows under a
+    uniform prior, by direct summation of ``p * log2(p)``, taking
+    0 * log2(0) as 0."""
     n = len(rows)
     entropy_sum = 0.0
     for row in rows:
         entropy_sum += math.fsum(-p * math.log2(p) for p in row if p > 0.0)
     return math.log2(n) - entropy_sum / n
+
+
+def oracle_softmax_rows(log_weights: Sequence[Sequence[float]]) -> list[list[float]]:
+    """Each row of log weights as probabilities, shifted by the row's
+    maximum so that no exponent overflows."""
+    rows = []
+    for row in log_weights:
+        top = max(row)
+        weights = [math.exp(w - top) for w in row]
+        total = math.fsum(weights)
+        rows.append([w / total for w in weights])
+    return rows
+
+
+def oracle_info_gain(
+    table: PerformanceTable, keys: Sequence[MetricKey], noise: str = "sum"
+) -> float:
+    """Reference information gain in bits by direct summation."""
+    return oracle_bits(oracle_confusion_rows(table, keys, noise))
 
 
 def _oracle_keys_for(problem: str, mode: str) -> list[MetricKey]:

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from conftest import full_table, score_table, traced_peak
 import infobench
-from infobench.cli import main
-from infobench.perf import stats_json_document, write_stats_csv
+from infobench.cli import _measure_files, main
+from infobench.cluster import DEFAULT_THRESHOLD, cluster, correlation_matrix
+from infobench.perf import Measure, stats_json_document, write_stats_csv
 from reference_heatmap import read_heatmap_cells
 
 
@@ -246,6 +247,20 @@ class TestPipeline:
         # one heatmap's whole text and its row strings about 310, and both
         # heatmaps' texts about 520
         assert peak / 120**2 <= 100
+
+    def test_correlation_csv_holds_one_row_at_a_time(self, tmp_path):
+        rng = np.random.default_rng(3)
+        table = score_table({f"p{j:03d}": (rng.normal(0.0, 1.0, 50), np.ones(50))
+                             for j in range(500)})
+        corr = correlation_matrix(table, Measure.SCORE)
+        files = _measure_files("score", corr, cluster(corr, DEFAULT_THRESHOLD), DEFAULT_THRESHOLD)
+        name, write = files[0]
+        assert name == "correlation_score.csv"
+        with open(tmp_path / name, "w", newline="", encoding="utf-8") as f:
+            peak = traced_peak(write, f)
+        # each row's list is made as it is written; the whole 500 x 500
+        # matrix as nested lists of Python floats took about 7.9 MiB
+        assert peak <= 2**20
 
 
 class TestExitCodes:

@@ -1,10 +1,12 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import (
     THREE_AGENT_MI_BITS,
@@ -14,7 +16,7 @@ from conftest import (
     score_table,
 )
 from infobench.cli import main
-from infobench.confusion import confusion
+from infobench.confusion import confusion, gain_bits
 from infobench.errors import CompletenessError, DomainError, InfobenchError
 from infobench.infogain import (
     greedy_select,
@@ -25,6 +27,7 @@ from infobench.infogain import (
     subadditivity_audit,
 )
 from infobench.perf import Measure, MetricKey, write_stats_csv
+from reference_oracle import oracle_bits, oracle_softmax_rows
 
 G = MetricKey("g", Measure.SCORE)
 
@@ -51,10 +54,26 @@ class TestMutualInformation:
         rows = np.array([[1.0, 0.0], [0.0, 1.0]])
         assert mutual_information(rows) == 1.0
 
+    @pytest.mark.parametrize("probs", [
+        np.eye(5),
+        np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.2, 0.3, 0.5]]),
+        np.array([[0.0, 0.25, 0.75, 0.0], [1.0, 0.0, 0.0, 0.0],
+                  [0.25, 0.25, 0.25, 0.25], [0.0, 0.0, 0.1, 0.9]]),
+    ])
+    def test_exact_zeros_add_nothing_and_warn_of_nothing(self, probs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mi = mutual_information(probs)
+        assert mi == pytest.approx(oracle_bits(probs.tolist()), abs=1e-12)
+
     def test_three_agent_fixture_value(self, three_agent_table):
         mi = mutual_information(confusion(three_agent_table, [G]))
         assert mi == pytest.approx(THREE_AGENT_MI_BITS, abs=1e-12)
         assert mi == pytest.approx(0.0206, abs=1e-4)
+
+    def test_one_agent_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="fewer than two"):
+            mutual_information(np.ones((1, 1)))
 
     def test_rejects_non_stochastic(self):
         with pytest.raises(ValueError, match="stochastic"):
@@ -118,7 +137,7 @@ class TestInfoGainSet:
             gain = info_gain_set(table, score_keys(table))
         except InfobenchError:
             return
-        assert abs(gain) <= 1e-9
+        assert gain == 0.0
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -131,9 +150,10 @@ class TestInfoGainSet:
 
 
 class TestGainFloor:
-    # every agent alike gives uniform beliefs, whose mean row entropy
-    # rounds above log2(n) at these agent counts
-    @pytest.mark.parametrize("n", [7, 10, 14, 26])
+    # every agent alike gives uniform beliefs; an entropy taken from their
+    # probabilities rounds to either side of log2(n), e.g. 4.4e-16 bits
+    # above 0 at 12 agents
+    @pytest.mark.parametrize("n", range(2, 60))
     def test_uninformative_problem_scores_exactly_zero(self, n, tmp_path):
         table = full_table(
             {
@@ -155,6 +175,43 @@ class TestGainFloor:
         with open(tmp_path / "info_gain.csv") as f:
             rows = {r[0]: r[1:] for r in list(csv.reader(f))[1:]}
         assert rows["flat"] == ["0.0", "0.0", "0.0"]
+
+
+# log weights from ordinary magnitudes to ones whose exp underflows to 0
+LOG_WEIGHTS = st.one_of(st.floats(-40.0, 40.0), st.sampled_from([-800.0, -1e5, -1e300]))
+
+
+class TestGainKernel:
+    @given(
+        hnp.arrays(
+            float,
+            st.integers(2, 9).flatmap(lambda n: st.tuples(st.integers(1, 3), st.just(n),
+                                                          st.just(n))),
+            elements=LOG_WEIGHTS,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_direct_summation(self, log_weights):
+        expected = [oracle_bits(oracle_softmax_rows(w.tolist())) for w in log_weights]
+        gains = gain_bits(log_weights.copy())
+        assert gains.shape == (len(log_weights),)
+        assert np.max(np.abs(gains - expected)) <= 1e-12
+        assert np.all((gains >= 0.0) & (gains <= math.log2(log_weights.shape[-1])))
+
+    @given(st.integers(2, 59), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_one_hot_row_scores_exactly_log2_n(self, n, data):
+        # every other weight is so far below the hot one that its exp underflows to 0
+        row = np.array(data.draw(st.lists(st.sampled_from([-1e5, -1e300]),
+                                          min_size=n, max_size=n)))
+        row[data.draw(st.integers(0, n - 1))] = data.draw(st.floats(-1e3, 1e3))
+        # a slice of this one row: its gain is the row's own bits, with no mean to round
+        assert gain_bits(row[None, :]) == math.log2(n)
+
+    @given(st.integers(2, 59), st.floats(-1e300, 1e300))
+    @settings(max_examples=100, deadline=None)
+    def test_uniform_rows_score_exactly_zero(self, n, w):
+        assert gain_bits(np.full((n, n), w)) == 0.0
 
 
 class TestInfoGainCombined:
