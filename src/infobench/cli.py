@@ -295,7 +295,7 @@ def _measure_files(name: str, corr, clustering, threshold: float) -> list:
         (f"correlation_{name}.json", lambda f: _json(f, {
             "measure": name,
             "problems": list(corr.problems),
-            "matrix": list(_matrix_rows(corr)),
+            "matrix": _matrix_rows(corr),
             "threshold": threshold,
             "clusters": [list(c) for c in clustering.clusters],
             "no_correlation_measure": list(clustering.excluded),

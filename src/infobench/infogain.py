@@ -172,8 +172,8 @@ def greedy_select(
     """
     if not k > 0:
         raise InputError(f"k must be a positive integer, got {k}")
-    if not eps_gain > 0:
-        raise InputError(f"eps_gain must be positive, got {eps_gain}")
+    if not (eps_gain > 0 and math.isfinite(eps_gain)):
+        raise InputError(f"eps_gain must be positive and finite, got {eps_gain}")
     n = len(table.agents)
     # gains are ranked as multiples of eps_gain, and no gain exceeds log2(n)
     if not math.isfinite(math.log2(n) / eps_gain):

@@ -7,12 +7,15 @@ metric cells: the win rate (mean of the 0/1 outcomes) and the score,
 both modelled as Gaussians with a sample mean, a Bessel-corrected sample
 standard deviation and a sample count.
 
-Every table is built by ``PerformanceTable.from_stats`` from stats rows
-``(agent, problem, measure, mean, stddev, count)``, the rows of a stats
-file: ``aggregate`` and both stats readers produce them.  It alone
-decides a cell's noise scale: it floors every standard deviation at
-``sigma_floor``, so deterministic cells (e.g. an agent that always wins)
-never produce a zero noise scale downstream, and it reports those cells.
+Every table is built by ``PerformanceTable.from_columns`` from one
+column per stat: each row's agent, metric key, mean, stddev and count.
+``aggregate`` fills the columns from its sorted runs; both stats readers
+reach it through ``PerformanceTable.from_stats``, which gathers the
+``(agent, problem, measure, mean, stddev, count)`` rows of a stats file
+into columns.  ``from_columns`` alone decides a cell's noise scale: it
+floors every standard deviation at ``sigma_floor``, so deterministic
+cells (e.g. an agent that always wins) never produce a zero noise scale
+downstream, and it reports those cells.
 
 Both headed CSV inputs, playthroughs and stats, are read row by row by
 ``_csv_rows``, and both files are opened and decoded by ``_read_text``.
@@ -29,7 +32,7 @@ import warnings
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import pairwise, repeat
+from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii
 from operator import add, sub
 from pathlib import Path
@@ -142,6 +145,11 @@ def _raise_first_duplicate(agents: Sequence[str], keys: Sequence[MetricKey]) -> 
                 f"duplicate stats row for cell {_cell_name(agent, problem, measure)}"
             ) from None
         seen.add(cell)
+
+
+def _check_sigma_floor(sigma_floor: float) -> None:
+    if not (sigma_floor > 0 and math.isfinite(sigma_floor)):
+        raise InputError(f"sigma_floor must be positive and finite, got {sigma_floor}")
 
 
 def _cell_name(agent: str, problem: str, measure: Measure) -> str:
@@ -276,26 +284,21 @@ class PerformanceTable:
         sigma_floor: float = SIGMA_FLOOR_DEFAULT,
     ) -> "PerformanceTable":
         """Build a table from ``(agent, problem, measure, mean, stddev, count)``
-        rows, the rows of a stats file, in any order.
-
-        Every agent appearing anywhere must have exactly one row for
-        every key appearing anywhere, and no agent or problem name may
-        hold a character XML 1.0 forbids, since heatmaps carry the names.
-        Standard deviations are floored at ``sigma_floor`` here, with one
-        counted warning for the cells of a single playthrough and one for
-        the cells of two or more whose stddev is below the floor.
-        """
-        if not (sigma_floor > 0 and math.isfinite(sigma_floor)):
-            raise InputError(f"sigma_floor must be positive and finite, got {sigma_floor}")
-        # the rows as five columns, in row order
-        row_agents, row_keys, means, stddevs, counts = [], [], [], [], []
+        rows, the rows of a stats file, in any order, through
+        ``from_columns``."""
+        _check_sigma_floor(sigma_floor)
+        # the rows as five columns, in row order: one str per distinct
+        # agent and one MetricKey per distinct key, the stats as C doubles;
+        # counts stay ints, so a fault message names a count as given
+        row_agents, row_keys, means, stddevs, counts = [], [], array("d"), array("d"), []
+        agents_seen: dict[str, str] = {}
         keys_seen: dict[tuple[str, str], MetricKey] = {}
         try:
             for agent, problem, measure, mean, stddev, count in rows:
                 key = keys_seen.get((problem, measure))
                 if key is None:
                     key = keys_seen[(problem, measure)] = MetricKey(problem, measure)
-                row_agents.append(agent)
+                row_agents.append(agents_seen.setdefault(agent, agent))
                 row_keys.append(key)
                 means.append(mean)
                 stddevs.append(stddev)
@@ -304,6 +307,30 @@ class PerformanceTable:
             # a duplicate among the rows before the one that failed comes first
             _raise_first_duplicate(row_agents, row_keys)
             raise
+        return cls.from_columns(row_agents, row_keys, means, stddevs, counts, sigma_floor)
+
+    @classmethod
+    def from_columns(
+        cls,
+        row_agents: Sequence[str],
+        row_keys: Sequence[MetricKey],
+        means: Sequence[float],
+        stddevs: Sequence[float],
+        counts: Sequence[int],
+        sigma_floor: float = SIGMA_FLOOR_DEFAULT,
+    ) -> "PerformanceTable":
+        """Build a table from one column per stat: row ``i`` gives the
+        cell ``(row_agents[i], row_keys[i])`` its ``means[i]``,
+        ``stddevs[i]`` and ``counts[i]``, in any row order.
+
+        Every agent appearing anywhere must have exactly one row for
+        every key appearing anywhere, and no agent or problem name may
+        hold a character XML 1.0 forbids, since heatmaps carry the names.
+        Standard deviations are floored at ``sigma_floor`` here, with one
+        counted warning for the cells of a single playthrough and one for
+        the cells of two or more whose stddev is below the floor.
+        """
+        _check_sigma_floor(sigma_floor)
         if not row_agents:
             raise InputError("no cells given")
         agents = tuple(sorted(set(row_agents)))
@@ -457,52 +484,68 @@ def aggregate(
     order = np.argsort(codes, kind="stable")
     codes = codes[order]
     starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
-    codes = codes[starts].tolist()  # one per cell, from here on
+    cell_agents, cell_problems = np.divmod(codes[starts], width)  # one per cell, from here on
     wins = np.add.reduceat(np.frombuffer(records.wins, np.uint8)[order], starts, dtype=np.int64)
     scores = np.frombuffer(records.scores)[order]
-    del order
-    # (agent, problem) -> (first row, end row, number of wins) of its run
-    cells = {
-        (names[code // width], names[code % width]): (*run, won)
-        for code, run, won in zip(codes, pairwise([*starts.tolist(), len(records)]), wins.tolist())
-    }
-
-    agents = sorted({a for a, _ in cells})
-    problems = sorted({p for _, p in cells})
-    missing = [(a, p) for a in agents for p in problems if (a, p) not in cells]
-    if missing:
+    del order, codes
+    # agents and problems in name order, and each cell's run at its place
+    # in the agents x problems grid; -1 marks a pair without playthroughs
+    agent_codes = sorted(np.unique(cell_agents).tolist(), key=names.__getitem__)
+    problem_codes = sorted(np.unique(cell_problems).tolist(), key=names.__getitem__)
+    rank = np.empty(width, np.intp)
+    rank[agent_codes] = np.arange(len(agent_codes))
+    cell_agents = rank[cell_agents]
+    rank[problem_codes] = np.arange(len(problem_codes))
+    runs = np.full((len(agent_codes), len(problem_codes)), -1, np.intp)
+    runs[cell_agents, rank[cell_problems]] = np.arange(len(starts))
+    agents = [names[c] for c in agent_codes]
+    problems = [names[c] for c in problem_codes]
+    gaps = runs < 0
+    if gaps.any():
         if not allow_missing:
+            missing = [(agents[a], problems[p]) for a, p in np.argwhere(gaps).tolist()]
             raise CompletenessError(
                 f"{len(missing)} agent-problem pair(s) have no playthroughs: "
                 + _first_eight([f"({a}, {p})" for a, p in missing]),
                 missing,
             )
-        dropped = {a for a, _ in missing}
+        covered = ~gaps.any(axis=1)
+        dropped = list(compress(agents, ~covered))
         warnings.warn(
             f"dropping {len(dropped)} agent(s) lacking full problem coverage: "
-            f"{_first_eight(sorted(dropped))}",
+            f"{_first_eight(dropped)}",
             stacklevel=2,
         )
-        agents = [a for a in agents if a not in dropped]
+        agents = list(compress(agents, covered))
+        runs = runs[covered]
         if not agents:
             raise InputError("no agent covers every problem")
 
-    rows = []
-    for a in agents:
-        for p in problems:
-            start, end, won = cells[a, p]
+    # the table's columns, row by row in (agent, key) order; a problem's
+    # score key sorts before its win key
+    keys = [(MetricKey(p, Measure.SCORE), MetricKey(p, Measure.WIN_RATE)) for p in problems]
+    bounds, wins = [*starts.tolist(), len(records)], wins.tolist()
+    means, stddevs, counts = array("d"), array("d"), array("q")
+    for agent, agent_runs in zip(agents, runs.tolist()):
+        for cell_keys, run in zip(keys, agent_runs):
+            start, end, won = bounds[run], bounds[run + 1], wins[run]
             # _gaussian_stat's fsums are exactly rounded, so the outcomes
             # grouped by kind summarise as they would in file order
             cell = scores[start:end].tolist(), [1.0] * won + [0.0] * (end - start - won)
-            for measure, values in zip((Measure.SCORE, Measure.WIN_RATE), cell):
+            for key, values in zip(cell_keys, cell):
                 try:
-                    rows.append((a, p, measure, *_gaussian_stat(values)))
+                    mean, stddev, count = _gaussian_stat(values)
                 except OverflowError:
                     raise InputError(
-                        f"{_cell_name(a, p, measure)} values are too large to "
+                        f"{_cell_name(agent, *key)} values are too large to "
                         "summarise in floating point"
                     ) from None
-    return PerformanceTable.from_stats(rows, sigma_floor)
+                means.append(mean)
+                stddevs.append(stddev)
+                counts.append(count)
+    row_agents = [agent for agent in agents for _ in range(2 * len(problems))]
+    row_keys = [key for cell_keys in keys for key in cell_keys] * len(agents)
+    return PerformanceTable.from_columns(row_agents, row_keys, means, stddevs, counts, sigma_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -515,10 +558,13 @@ STATS_HEADER = ("agent", "problem", "measure", "mean", "stddev", "count")
 
 def _stats_rows(table: PerformanceTable):
     keys = [(k.problem, k.measure.value) for k in table.keys]
+    # one agent's row of Python numbers at a time
     for agent, means, stddevs, counts in zip(
-        table.agents, table.means.tolist(), table.stddevs.tolist(), table.counts.tolist()
+        table.agents, table.means, table.stddevs, table.counts
     ):
-        for (problem, measure), mean, stddev, count in zip(keys, means, stddevs, counts):
+        for (problem, measure), mean, stddev, count in zip(
+            keys, means.tolist(), stddevs.tolist(), counts.tolist()
+        ):
             yield agent, problem, measure, mean, stddev, count
 
 
@@ -528,12 +574,29 @@ def write_stats_csv(table: PerformanceTable, stream: IO[str]) -> None:
     w.writerows(_stats_rows(table))
 
 
+class _StatsCells:
+    """A table's stats rows as JSON objects, each made as it is read, so
+    that writing them never holds them all.  Each iteration starts
+    afresh."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, table: PerformanceTable) -> None:
+        self.table = table
+
+    def __iter__(self) -> Iterator[dict]:
+        return (dict(zip(STATS_HEADER, row)) for row in _stats_rows(self.table))
+
+
 def stats_json_document(table: PerformanceTable) -> dict:
+    """The stats JSON document of ``table``.  Its ``cells`` is an
+    iterable, not a list: ``canonical_json_pieces`` writes it cell by
+    cell."""
     return {
         "agents": list(table.agents),
         "problems": list(table.problems),
         "sigma_floor": table.sigma_floor,
-        "cells": [dict(zip(STATS_HEADER, row)) for row in _stats_rows(table)],
+        "cells": _StatsCells(table),
     }
 
 
@@ -578,16 +641,22 @@ def _flat_json(newline: str) -> Callable[[object], str]:
 def _encode_json(value, newline: str, prefix: str = "") -> Iterator[str]:
     """Yield the ``indent=2`` JSON text of ``value``, whose first line
     starts with ``newline`` (a line break and the indent), after
-    ``prefix``, the separator before it, held in its first piece."""
+    ``prefix``, the separator before it, held in its first piece.
+
+    An iterable other than a dict, list, tuple or string is written as a
+    list, one item at a time, so rows made as they are read are never
+    held together."""
     if isinstance(value, dict):
         items = value.values()
     elif isinstance(value, (list, tuple)):
         items = value
-    else:
+    elif isinstance(value, _JSON_SCALARS):
         yield prefix + _flat_json(newline)(value)
         return
+    else:
+        items = None  # read once, as it is written
     inner = newline + "  "
-    if all(isinstance(item, _JSON_SCALARS) for item in items):
+    if items is not None and all(isinstance(item, _JSON_SCALARS) for item in items):
         text = _flat_json(inner)(value)
         # the C encoder's text lacks the line breaks just inside the brackets
         yield f"{prefix}{text[0]}{inner}{text[1:-1]}{newline}{text[-1]}" if items else prefix + text
@@ -598,11 +667,12 @@ def _encode_json(value, newline: str, prefix: str = "") -> Iterator[str]:
             separator = "," + inner
         yield newline + "}"
     else:
-        separator = prefix + "[" + inner
+        separator = opening = prefix + "[" + inner
         for item in value:
             yield from _encode_json(item, inner, separator)
             separator = "," + inner
-        yield newline + "]"
+        # only a streamed list can be empty here
+        yield newline + "]" if separator is not opening else prefix + "[]"
 
 
 def read_stats_csv(stream: IO[str]) -> PerformanceTable:

@@ -67,6 +67,9 @@ class SynthSpec:
             raise InputError("need at least one problem archetype")
         if not self.samples_per_cell > 0:
             raise InputError("need at least one sample per cell")
+        # numpy's seed sequence takes no negative entropy
+        if not self.seed >= 0:
+            raise InputError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def agent_names(self) -> tuple[str, ...]:

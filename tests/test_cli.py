@@ -248,19 +248,28 @@ class TestPipeline:
         # heatmaps' texts about 520
         assert peak / 120**2 <= 100
 
-    def test_correlation_csv_holds_one_row_at_a_time(self, tmp_path):
+    @staticmethod
+    def correlation_file_peak(path, name):
+        """The traced peak of writing ``name``, one file of the score
+        correlation of 50 agents x 500 problems, to ``path``."""
         rng = np.random.default_rng(3)
         table = score_table({f"p{j:03d}": (rng.normal(0.0, 1.0, 50), np.ones(50))
                              for j in range(500)})
         corr = correlation_matrix(table, Measure.SCORE)
         files = _measure_files("score", corr, cluster(corr, DEFAULT_THRESHOLD), DEFAULT_THRESHOLD)
-        name, write = files[0]
-        assert name == "correlation_score.csv"
-        with open(tmp_path / name, "w", newline="", encoding="utf-8") as f:
-            peak = traced_peak(write, f)
+        write = dict(files)[name]
+        with open(path / name, "w", newline="", encoding="utf-8") as f:
+            return traced_peak(write, f)
+
+    def test_correlation_csv_holds_one_row_at_a_time(self, tmp_path):
         # each row's list is made as it is written; the whole 500 x 500
         # matrix as nested lists of Python floats took about 7.9 MiB
-        assert peak <= 2**20
+        assert self.correlation_file_peak(tmp_path, "correlation_score.csv") <= 2**20
+
+    def test_correlation_json_holds_one_row_at_a_time(self, tmp_path):
+        # each row's list is made as it is written; the whole matrix as
+        # nested lists took about 7.7 MiB
+        assert self.correlation_file_peak(tmp_path, "correlation_score.json") <= 2**20
 
 
 class TestExitCodes:
@@ -370,6 +379,7 @@ class TestExitCodes:
         ("select", "eps-gain", "0"),
         ("select", "eps-gain", "1e-309"),
         ("select", "eps-gain", "5e-324"),
+        ("select", "eps-gain", "inf"),
         ("correlate", "threshold", "0"),
         ("correlate", "threshold", "nan"),
         ("correlate", "threshold", "inf"),
@@ -379,6 +389,7 @@ class TestExitCodes:
         ("synth", "problems", "0"),
         ("synth", "gap", "0"),
         ("synth", "sigma", "0"),
+        ("synth", "seed", "-1"),
     ])
     def test_invalid_numeric_flag(self, corpus, tmp_path, capsys, command, key, value, source):
         inputs = {

@@ -200,7 +200,7 @@ class TestGreedySelect:
         with pytest.raises(ValueError, match="k must be"):
             greedy_select(abc_table(), 0)
 
-    @pytest.mark.parametrize("eps_gain", [0.0, -1e-9, float("nan"), 1e-309, 5e-324])
+    @pytest.mark.parametrize("eps_gain", [0.0, -1e-9, float("nan"), float("inf"), 1e-309, 5e-324])
     def test_invalid_eps_gain(self, eps_gain):
         with pytest.raises(InputError, match="eps_gain must be"):
             greedy_select(abc_table(), 2, eps_gain=eps_gain)

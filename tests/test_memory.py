@@ -21,6 +21,7 @@ CORPORA = {
     "stress": ("--agents", "50", "--problems", "250", "--samples", "5"),
     "paper": ("--agents", "27", "--problems", "108", "--samples", "200"),
     "wide": ("--agents", "200", "--problems", "60", "--samples", "5"),
+    "large": ("--agents", "200", "--problems", "500", "--samples", "5"),
 }
 
 # (corpus, step, bound in MB), each with the peak the bound rules out
@@ -39,6 +40,13 @@ BOUNDS = [
     # holding stats.json's whole text, not writing it piece by piece as it
     # is made: about 52 MB
     ("wide", "ingest", 48),
+    # a dict entry and a stats-row tuple per cell in aggregate, and
+    # stats.json's cells held as a list of dicts: about 130 MB
+    ("large", "ingest", 90),
+    # a str and two floats per stats row kept until the table is built,
+    # and each correlation matrix held as nested lists for its JSON:
+    # about 76 MB
+    ("large", "correlate", 64),
 ]
 
 

@@ -467,6 +467,14 @@ class TestCanonicalJson:
         assert len(pieces) == 12 + 6
         assert all(piece.count('"agent"') == 1 for piece in pieces[1:13])
 
+    @pytest.mark.parametrize("rows", [[], [[]], [[1.5, None], [-2, "x"]], [{"b": 1, "a": [2]}, 3]])
+    def test_an_iterable_is_written_as_its_list(self, rows):
+        # a generator, alone or in a container, is read once as it is written
+        for document, streamed in ((rows, iter(rows)), ([rows], [iter(rows)]),
+                                   ({"m": rows, "k": 1}, {"m": iter(rows), "k": 1})):
+            expected = json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+            assert dumps_canonical_json(streamed) == expected
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_out_of_range_floats_raise(self, value):
         for document in (value, [value], {"k": value}, {"k": [1, {"x": value}]}, [[value]]):

@@ -62,6 +62,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SynthSpec(2, (Archetype("identical"),), samples_per_cell=0)
 
+    def test_negative_seed_is_an_input_error(self):
+        # numpy's own ValueError would escape the exit-code contract
+        with pytest.raises(InputError, match="seed must be non-negative, got -1"):
+            SynthSpec(2, (Archetype("identical"),), seed=-1)
+
 
 class TestGenerate:
     def test_seed_determinism(self):
