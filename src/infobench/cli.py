@@ -14,6 +14,7 @@ import csv
 import math
 import sys
 import warnings
+from operator import add
 from pathlib import Path
 
 from . import __version__
@@ -344,17 +345,32 @@ def cmd_confusion(args: argparse.Namespace) -> int:
     return 0
 
 
+# the most rows whose text synth holds at once, so a cell of millions of
+# playthroughs is not held as text whole
+_SYNTH_ROWS_PER_WRITE = 4096
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     kinds = archetypes(args.archetype, args.problems, args.gap, args.sigma)
     spec = SynthSpec(args.agents, kinds, args.samples, args.seed)
     records = generate(spec)
-    # synth names and float reprs never need CSV quoting: this writes what csv.writer would
-    name = records.names.__getitem__
+    m = spec.samples_per_cell
+    # the writer takes each cell as one run of m rows, as generate lays them out
+    if len(records) != spec.agents * len(spec.archetypes) * m:
+        raise RuntimeError(f"generate gave {len(records)} rows, not one run of {m} per cell")
+    names, endings = records.names, (",0\n", ",1\n")
 
     def write(f) -> None:
+        # synth names and float reprs never need CSV quoting: this writes what
+        # csv.writer would, one string per cell, or per block of a large cell
         f.write("agent,problem,score,win\n")
-        f.writelines(map("{},{},{!r},{:d}\n".format, map(name, records.agents),
-                         map(name, records.problems), records.scores, records.wins))
+        for start in range(0, len(records), m):
+            end = start + m
+            prefix = f"{names[records.agents[start]]},{names[records.problems[start]]},"
+            for lo in range(start, end, _SYNTH_ROWS_PER_WRITE):
+                hi = min(lo + _SYNTH_ROWS_PER_WRITE, end)
+                f.write(prefix + prefix.join(map(add, map(repr, records.scores[lo:hi]),
+                                                 map(endings.__getitem__, records.wins[lo:hi]))))
 
     _write_files(args, [("playthroughs.csv", write)])
     print(

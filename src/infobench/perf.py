@@ -32,7 +32,7 @@ import warnings
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii
 from operator import add, sub
 from pathlib import Path
@@ -448,6 +448,16 @@ def _gaussian_stat(values: Sequence[float]) -> tuple[float, float, int]:
     return mean, math.sqrt(ssd / (n - 1)) if n > 1 else 0.0, n
 
 
+def _win_stat(won: int, n: int) -> tuple[float, float, int]:
+    """``_gaussian_stat`` of ``won`` outcomes 1.0 and ``n - won`` outcomes
+    0.0, bit for bit, from the two counts."""
+    # fsum is exactly rounded, so summing each of the two squared
+    # deviations ``won`` and ``n - won`` times gives _gaussian_stat's sum
+    mean = won / n
+    ssd = math.fsum(chain(repeat((1.0 - mean) ** 2, won), repeat((0.0 - mean) ** 2, n - won)))
+    return mean, math.sqrt(ssd / (n - 1)) if n > 1 else 0.0, n
+
+
 def aggregate(
     records: Playthroughs,
     sigma_floor: float = SIGMA_FLOOR_DEFAULT,
@@ -527,19 +537,16 @@ def aggregate(
     bounds, wins = [*starts.tolist(), len(records)], wins.tolist()
     means, stddevs, counts = array("d"), array("d"), array("q")
     for agent, agent_runs in zip(agents, runs.tolist()):
-        for cell_keys, run in zip(keys, agent_runs):
-            start, end, won = bounds[run], bounds[run + 1], wins[run]
-            # _gaussian_stat's fsums are exactly rounded, so the outcomes
-            # grouped by kind summarise as they would in file order
-            cell = scores[start:end].tolist(), [1.0] * won + [0.0] * (end - start - won)
-            for key, values in zip(cell_keys, cell):
-                try:
-                    mean, stddev, count = _gaussian_stat(values)
-                except OverflowError:
-                    raise InputError(
-                        f"{_cell_name(agent, *key)} values are too large to "
-                        "summarise in floating point"
-                    ) from None
+        for (score_key, _), run in zip(keys, agent_runs):
+            start, end = bounds[run], bounds[run + 1]
+            try:
+                score = _gaussian_stat(scores[start:end].tolist())
+            except OverflowError:
+                raise InputError(
+                    f"{_cell_name(agent, *score_key)} values are too large to "
+                    "summarise in floating point"
+                ) from None
+            for mean, stddev, count in (score, _win_stat(wins[run], end - start)):
                 means.append(mean)
                 stddevs.append(stddev)
                 counts.append(count)

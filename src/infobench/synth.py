@@ -118,7 +118,10 @@ def generate(spec: SynthSpec) -> Playthroughs:
     seed.
 
     Draw order is fixed: problems outermost, then agents, and for each
-    cell the win outcomes before the scores.  A gap or sigma so large
+    cell the win outcomes before the scores.  The rows keep that order,
+    so each cell's draws are one run of ``samples_per_cell`` rows and
+    there are agents × problems × ``samples_per_cell`` rows in all;
+    ``synth`` writes its CSV from those runs.  A gap or sigma so large
     that a mean or a drawn score leaves the float range is an
     ``InputError``.
     """

@@ -4,14 +4,15 @@
 package shipped before it stopped building a stripped field list per
 row; ``gaussian_stat`` is the per-cell summary with its sum of squares
 taken over a generator; ``generate`` is the synthetic corpus drawn into a
-list of tuples, one cell at a time; ``aggregate`` folds such tuples into
+list of tuples, one cell at a time; ``write_playthroughs_csv`` is synth's
+CSV written row by row by ``csv.writer``; ``aggregate`` folds such tuples into
 a table with one dict entry per cell, filled row by row, and
 ``from_stats`` builds a table from stats rows the same way, checking and
 flooring cell by cell.  The package's reader must return the same
 records, or raise the same ``ParseError`` at the same line, its summary
 must be bit-identical, its generator must draw the same records bit for
-bit, and its aggregate and table build must give the same table,
-warnings and errors.
+bit, synth's CSV must be the same bytes, and its aggregate and table
+build must give the same table, warnings and errors.
 """
 
 import csv
@@ -32,6 +33,7 @@ from infobench.perf import (
     Measure,
     MetricKey,
     PerformanceTable,
+    Playthroughs,
     _cell_name,
     _first_eight,
     _gaussian_stat,
@@ -131,6 +133,15 @@ def generate(spec: SynthSpec) -> list[tuple[str, str, float, bool]]:
                 )
             records.extend(zip(repeat(agent), repeat(problem), scores.tolist(), wins.tolist()))
     return records
+
+
+def write_playthroughs_csv(records: Playthroughs, stream: IO[str]) -> None:
+    """A playthrough CSV of ``records`` written row by row by ``csv.writer``."""
+    name = records.names.__getitem__
+    w = csv.writer(stream, lineterminator="\n")
+    w.writerow(_EXPECTED_HEADER)
+    w.writerows(zip(map(name, records.agents), map(name, records.problems), records.scores,
+                    records.wins))
 
 
 def aggregate(

@@ -1010,6 +1010,18 @@ class TestSynthCommand:
         assert (tmp_path / "a/playthroughs.csv").read_bytes() == \
             (tmp_path / "b/playthroughs.csv").read_bytes()
 
+    def test_rows_that_are_not_one_run_per_cell_are_not_written(self, tmp_path, monkeypatch):
+        def one_row_short(spec):
+            records = infobench.generate(spec)
+            for column in (records.agents, records.problems, records.scores, records.wins):
+                column.pop()
+            return records
+
+        monkeypatch.setattr(infobench.cli, "generate", one_row_short)
+        with pytest.raises(RuntimeError, match="generate gave 29 rows, not one run of 5 per cell"):
+            run("synth", "--agents", 3, "--problems", 2, "--samples", 5, "--out", tmp_path)
+        assert not (tmp_path / "playthroughs.csv").exists()
+
     @pytest.mark.parametrize("setting", [("--gap", "1e308"),
                                          ("--archetype", "linear", "--sigma", "1e308")],
                              ids=["gap", "sigma"])

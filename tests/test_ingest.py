@@ -23,6 +23,7 @@ from infobench.perf import (
     MetricKey,
     PerformanceTable,
     _gaussian_stat,
+    _win_stat,
     aggregate,
     parse_records,
 )
@@ -327,13 +328,18 @@ def test_from_stats_matches_the_per_cell_dict_loop(rows, sigma_floor):
 
 
 def test_from_stats_peak_memory_per_cell():
-    rows = [(f"agent{a:03d}", f"prob{p:02d}", m, a + p / 64, 0.5, 5)
-            for a in range(200) for p in range(60) for m in ("score", "win")]
-    PerformanceTable.from_stats(rows)  # the first call fills numpy's and Python's caches
-    peak = traced_peak(PerformanceTable.from_stats, rows)
+    def rows():
+        # each row made as it is read, as the stats readers make theirs, so
+        # the peak counts what from_stats keeps of a row and not the row
+        return ((f"agent{a:03d}", f"prob{p:02d}", m, a + p / 64, 0.5, 5)
+                for a in range(200) for p in range(60) for m in ("score", "win"))
+
+    PerformanceTable.from_stats(rows())  # the first call fills numpy's and Python's caches
+    peak = traced_peak(PerformanceTable.from_stats, rows())
     # five list entries, a flat index and three table entries per row, with
-    # slack; a dict entry and an (agent, key) tuple per cell took about 260
-    assert peak / len(rows) <= 120
+    # slack: about 85.  Keeping each row's own agent str took about 141, and
+    # a dict entry and an (agent, key) tuple per cell about 260
+    assert peak / (200 * 60 * 2) <= 110
 
 
 def retained_bytes(build):
@@ -373,6 +379,15 @@ def test_generated_rows_are_held_as_columns():
     assert retained / len(records) <= 24
 
 
+def test_synth_holds_no_large_cell_as_text_whole(tmp_path):
+    argv = ("synth", "--agents", 1, "--problems", 1, "--out", tmp_path, "--samples")
+    run(*argv, 1000)  # numpy imports its random module lazily
+    peak = traced_peak(run, *argv, 200_000)
+    # the columns and the cell's numpy draws, with slack: about 38; the
+    # cell's text held whole took about 135
+    assert peak / 200_000 <= 60
+
+
 def hex_rows(records):
     return [(a, p, s.hex(), w) for a, p, s, w in records]
 
@@ -395,11 +410,36 @@ def test_overflowing_squared_deviations_are_too_large_to_summarise(tmp_path, cap
     assert "(a, g) score values are too large to summarise" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "agents, samples, scale",
+    [(3, 1, 1.0), (1, 6, 1.0), (4, 3, 1e300), (4, 3, 1e-300), (1, 2 * 4096 + 1, 1.0)],
+    ids=["one-playthrough", "one-agent", "long-reprs", "tiny-long-reprs", "cells-span-writes"],
+)
+def test_synth_csv_equals_the_row_by_row_writer(tmp_path, agents, samples, scale):
+    argv = ("--agents", agents, "--problems", 5, "--samples", samples, "--seed", 7,
+            "--gap", 10 * scale, "--sigma", scale)
+    assert run("synth", *argv, "--out", tmp_path) == 0
+    records = generate(SynthSpec(agents, archetypes("mixed", 5, 10 * scale, scale), samples, 7))
+    expected = io.StringIO(newline="")
+    reference_ingest.write_playthroughs_csv(records, expected)
+    assert (tmp_path / "playthroughs.csv").read_bytes() == expected.getvalue().encode("utf-8")
+    if scale != 1.0:
+        assert max(len(repr(s)) for s in records.scores) >= 23
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 40, 200])
+def test_win_stat_is_the_stat_of_its_outcomes(n):
+    for won in range(n + 1):
+        outcomes = [1.0] * won + [0.0] * (n - won)
+        # equal reprs are equal bits: a float's repr round-trips, sign of zero included
+        assert list(map(repr, _win_stat(won, n))) == list(map(repr, _gaussian_stat(outcomes)))
+
+
 @pytest.mark.parametrize("archetype", ARCHETYPE_CHOICES)
 @pytest.mark.parametrize("sigma", [1.0, 1e300])
 def test_synth_csv_reads_back_as_generate(tmp_path, archetype, sigma):
-    # synth writes rows with a format string, not csv.writer: this holds only if
-    # no name or float repr needs quoting
+    # synth joins its rows' text itself, not through csv.writer: this holds only
+    # if no name or float repr needs quoting
     argv = ("--agents", 3, "--problems", 5, "--samples", 4, "--seed", 7, "--sigma", sigma)
     assert run("synth", "--archetype", archetype, *argv, "--out", tmp_path) == 0
     with open(tmp_path / "playthroughs.csv", newline="", encoding="utf-8") as f:
