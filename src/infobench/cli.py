@@ -10,11 +10,9 @@ input or usage.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 import warnings
-from operator import add
 from pathlib import Path
 
 from . import __version__
@@ -37,6 +35,7 @@ from .infogain import (
 from .perf import (
     Measure,
     MetricKey,
+    PLAYTHROUGH_HEADER,
     PerformanceTable,
     SIGMA_FLOOR_DEFAULT,
     aggregate,
@@ -45,9 +44,10 @@ from .perf import (
     load_stats,
     parse_records_path,
     stats_json_document,
+    write_csv,
     write_stats_csv,
 )
-from .synth import ARCHETYPE_CHOICES, Archetype, SynthSpec, archetypes, generate
+from .synth import ARCHETYPE_CHOICES, Archetype, SynthSpec, archetypes, generate, write_playthroughs
 
 ALL_FORMATS = ("csv", "json", "svg")
 
@@ -156,12 +156,6 @@ def _write_files(args: argparse.Namespace, files) -> None:
         print(f"wrote {path}")
 
 
-def _csv(f, header, rows) -> None:
-    w = csv.writer(f, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-
-
 def _json(f, doc) -> None:
     # written piece by piece as made, as heatmap lines are: no whole text is held
     f.writelines(canonical_json_pieces(doc))
@@ -179,6 +173,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         ("stats.csv", lambda f: write_stats_csv(table, f)),
         ("stats.json", lambda f: _json(f, stats_json_document(table))),
     ])
+    if args.sigma_floor < SIGMA_FLOOR_DEFAULT and "csv" in args.formats:
+        warnings.warn(
+            f"stats.csv does not keep --sigma-floor {args.sigma_floor:g}: a command reading it "
+            f"floors at {SIGMA_FLOOR_DEFAULT:g}; stats.json keeps the floor"
+        )
     # win and score share each pair's count, so over all keys the min,
     # mean and max are the pairs'
     counts = table.counts
@@ -207,7 +206,7 @@ def cmd_info_gain(args: argparse.Namespace) -> int:
     table = load_stats(args.stats)
     rows = _gain_rows(table, args.noise)
     _write_files(args, [
-        ("info_gain.csv", lambda f: _csv(f, rows[0].keys(), (r.values() for r in rows))),
+        ("info_gain.csv", lambda f: write_csv(f, rows[0].keys(), (r.values() for r in rows))),
         ("info_gain.json", lambda f: _json(f, {
             "noise": args.noise,
             "gains": rows,
@@ -261,7 +260,7 @@ def cmd_select(args: argparse.Namespace) -> int:
     ]
     text = _selection_text(report)
     _write_files(args, [
-        ("selection.csv", lambda f: _csv(f, header, (s.values() for s in steps))),
+        ("selection.csv", lambda f: write_csv(f, header, (s.values() for s in steps))),
         ("selection.json", lambda f: _json(f, {
             "mode": report.mode,
             "noise": args.noise,
@@ -288,10 +287,10 @@ def _matrix_rows(corr):
 def _measure_files(name: str, corr, clustering, threshold: float) -> list:
     """The correlation, cluster and heatmap files of one measure."""
     return [
-        (f"correlation_{name}.csv", lambda f: _csv(
+        (f"correlation_{name}.csv", lambda f: write_csv(
             f, ["problem", *corr.problems],
             ([p, *row] for p, row in zip(corr.problems, _matrix_rows(corr))))),
-        (f"clusters_{name}.csv", lambda f: _csv(
+        (f"clusters_{name}.csv", lambda f: write_csv(
             f, ("problem", "cluster_id"), sorted(clustering.assignments().items()))),
         (f"correlation_{name}.json", lambda f: _json(f, {
             "measure": name,
@@ -331,7 +330,7 @@ def cmd_confusion(args: argparse.Namespace) -> int:
     matrix = confusion(table, keys, args.noise)
     probs = matrix.probs.tolist()
     _write_files(args, [
-        ("confusion.csv", lambda f: _csv(
+        ("confusion.csv", lambda f: write_csv(
             f, ["agent", *matrix.agents], ([a, *row] for a, row in zip(matrix.agents, probs)))),
         ("confusion.json", lambda f: _json(f, {
             "agents": list(matrix.agents),
@@ -345,34 +344,11 @@ def cmd_confusion(args: argparse.Namespace) -> int:
     return 0
 
 
-# the most rows whose text synth holds at once, so a cell of millions of
-# playthroughs is not held as text whole
-_SYNTH_ROWS_PER_WRITE = 4096
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
     kinds = archetypes(args.archetype, args.problems, args.gap, args.sigma)
     spec = SynthSpec(args.agents, kinds, args.samples, args.seed)
     records = generate(spec)
-    m = spec.samples_per_cell
-    # the writer takes each cell as one run of m rows, as generate lays them out
-    if len(records) != spec.agents * len(spec.archetypes) * m:
-        raise RuntimeError(f"generate gave {len(records)} rows, not one run of {m} per cell")
-    names, endings = records.names, (",0\n", ",1\n")
-
-    def write(f) -> None:
-        # synth names and float reprs never need CSV quoting: this writes what
-        # csv.writer would, one string per cell, or per block of a large cell
-        f.write("agent,problem,score,win\n")
-        for start in range(0, len(records), m):
-            end = start + m
-            prefix = f"{names[records.agents[start]]},{names[records.problems[start]]},"
-            for lo in range(start, end, _SYNTH_ROWS_PER_WRITE):
-                hi = min(lo + _SYNTH_ROWS_PER_WRITE, end)
-                f.write(prefix + prefix.join(map(add, map(repr, records.scores[lo:hi]),
-                                                 map(endings.__getitem__, records.wins[lo:hi]))))
-
-    _write_files(args, [("playthroughs.csv", write)])
+    _write_files(args, [("playthroughs.csv", lambda f: write_playthroughs(spec, records, f))])
     print(
         f"{len(records)} records: {spec.agents} agents x "
         f"{len(spec.archetypes)} problems x {spec.samples_per_cell} samples"
@@ -414,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", parents=[common, formats],
                        help="aggregate a playthrough CSV into stats files")
-    p.add_argument("--input", required=True, help="playthrough CSV (agent,problem,score,win)")
+    p.add_argument("--input", required=True,
+                   help=f"playthrough CSV ({','.join(PLAYTHROUGH_HEADER)})")
     p.add_argument("--allow-missing", action="store_true",
                    help="drop agents lacking full problem coverage instead of failing")
     p.add_argument("--sigma-floor", type=float, default=SIGMA_FLOOR_DEFAULT,

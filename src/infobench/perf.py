@@ -1,6 +1,6 @@
 """Playthrough ingestion and the Gaussian performance table.
 
-A playthrough log is a CSV of ``agent,problem,score,win`` rows, parsed
+A playthrough log is a CSV headed by ``PLAYTHROUGH_HEADER``, parsed
 into ``Playthroughs``, columns in file order.  ``aggregate`` groups the
 rows by their (agent, problem) codes and summarises each pair by two
 metric cells: the win rate (mean of the 0/1 outcomes) and the score,
@@ -60,7 +60,9 @@ _WIN_TOKENS = {
     "lose": False,
 }
 
-_EXPECTED_HEADER = ("agent", "problem", "score", "win")
+PLAYTHROUGH_HEADER = ("agent", "problem", "score", "win")
+
+STATS_HEADER = ("agent", "problem", "measure", "mean", "stddev", "count")
 
 T = TypeVar("T")
 
@@ -196,7 +198,7 @@ class Playthroughs:
 def parse_records(stream: IO[str]) -> Playthroughs:
     """Parse a playthrough CSV into ``Playthroughs``, preserving file order.
 
-    The header must be exactly ``agent,problem,score,win``.  Win tokens
+    The header must be ``PLAYTHROUGH_HEADER``.  Win tokens
     accept 0/1, true/false and win/lose, case-insensitively.  Errors
     name the offending 1-based line (header = line 1).
     """
@@ -207,7 +209,7 @@ def parse_records(stream: IO[str]) -> Playthroughs:
     # raw name field -> code of its stripped name in records.names
     codes: dict[str, int] = {}
     for line, (agent_text, problem_text, score_text, win_text) in _csv_rows(
-        stream, _EXPECTED_HEADER
+        stream, PLAYTHROUGH_HEADER
     ):
         agent = codes.get(agent_text)
         if agent is None:
@@ -324,8 +326,9 @@ class PerformanceTable:
         ``stddevs[i]`` and ``counts[i]``, in any row order.
 
         Every agent appearing anywhere must have exactly one row for
-        every key appearing anywhere, and no agent or problem name may
-        hold a character XML 1.0 forbids, since heatmaps carry the names.
+        every key appearing anywhere, and no agent or problem name may be
+        blank, or hold a character XML 1.0 forbids, since heatmaps carry
+        the names.
         Standard deviations are floored at ``sigma_floor`` here, with one
         counted warning for the cells of a single playthrough and one for
         the cells of two or more whose stddev is below the floor.
@@ -349,8 +352,11 @@ class PerformanceTable:
         given[cell] = True
         if np.count_nonzero(given) < len(cell):
             _raise_first_duplicate(row_agents, row_keys)
-        if _XML_FORBIDDEN.search("".join(agents) + "".join(k.problem for k in keys)):
+        names = agents + tuple(k.problem for k in keys)
+        if not all(map(str.strip, names)) or _XML_FORBIDDEN.search("".join(names)):
             for a, k in zip(row_agents, row_keys):
+                if not (a.strip() and k.problem.strip()):
+                    raise InputError(f"cell {_cell_name(a, *k)!r} has an empty or blank name")
                 bad = _XML_FORBIDDEN.search(a + k.problem)
                 if bad:
                     raise InputError(
@@ -560,8 +566,6 @@ def aggregate(
 # and an equivalent JSON document.
 # ---------------------------------------------------------------------------
 
-STATS_HEADER = ("agent", "problem", "measure", "mean", "stddev", "count")
-
 
 def _stats_rows(table: PerformanceTable):
     keys = [(k.problem, k.measure.value) for k in table.keys]
@@ -575,10 +579,16 @@ def _stats_rows(table: PerformanceTable):
             yield agent, problem, measure, mean, stddev, count
 
 
-def write_stats_csv(table: PerformanceTable, stream: IO[str]) -> None:
+def write_csv(stream: IO[str], header: Iterable[str], rows: Iterable[Iterable]) -> None:
+    """Write ``header`` and ``rows`` in the one dialect of every CSV the
+    tool writes: ``csv.writer``'s, lines ending in ``"\n"``."""
     w = csv.writer(stream, lineterminator="\n")
-    w.writerow(STATS_HEADER)
-    w.writerows(_stats_rows(table))
+    w.writerow(header)
+    w.writerows(rows)
+
+
+def write_stats_csv(table: PerformanceTable, stream: IO[str]) -> None:
+    write_csv(stream, STATS_HEADER, _stats_rows(table))
 
 
 class _StatsCells:

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from operator import add
+from typing import IO
 
 import numpy as np
 
 from .errors import InputError
-from .perf import Playthroughs
+from .perf import PLAYTHROUGH_HEADER, Playthroughs
 
 ARCHETYPE_KINDS = ("identical", "linear", "two-cluster", "delayed")
 
@@ -121,9 +123,9 @@ def generate(spec: SynthSpec) -> Playthroughs:
     cell the win outcomes before the scores.  The rows keep that order,
     so each cell's draws are one run of ``samples_per_cell`` rows and
     there are agents × problems × ``samples_per_cell`` rows in all;
-    ``synth`` writes its CSV from those runs.  A gap or sigma so large
-    that a mean or a drawn score leaves the float range is an
-    ``InputError``.
+    ``write_playthroughs`` writes the CSV from those runs.  A gap or
+    sigma so large that a mean or a drawn score leaves the float range is
+    an ``InputError``.
     """
     rng = np.random.default_rng(spec.seed)
     records = Playthroughs()
@@ -145,3 +147,23 @@ def generate(spec: SynthSpec) -> Playthroughs:
             records.scores.frombytes(scores.tobytes())
             records.wins.extend(wins.tobytes())
     return records
+
+
+# the most rows whose text is held at once, so a cell of millions of
+# playthroughs is not held as text whole
+_ROWS_PER_WRITE = 4096
+
+
+def write_playthroughs(spec: SynthSpec, records: Playthroughs, stream: IO[str]) -> None:
+    """Write ``generate(spec)``'s records as the playthrough CSV that
+    ``perf.write_csv`` would give, one string per cell or per 4,096 rows:
+    synth names and float reprs never need CSV quoting."""
+    m, names, endings = spec.samples_per_cell, records.names, (",0\n", ",1\n")
+    stream.write(",".join(PLAYTHROUGH_HEADER) + "\n")
+    for start in range(0, len(records), m):
+        end = start + m
+        prefix = f"{names[records.agents[start]]},{names[records.problems[start]]},"
+        for lo in range(start, end, _ROWS_PER_WRITE):
+            hi = min(lo + _ROWS_PER_WRITE, end)
+            stream.write(prefix + prefix.join(map(add, map(repr, records.scores[lo:hi]),
+                                                  map(endings.__getitem__, records.wins[lo:hi]))))

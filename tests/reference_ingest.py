@@ -25,13 +25,13 @@ import numpy as np
 
 from infobench.errors import CompletenessError, InputError, ParseError
 from infobench.perf import (
-    _EXPECTED_HEADER,
     _MAX_COUNT,
     _WIN_TOKENS,
     _XML_FORBIDDEN,
     SIGMA_FLOOR_DEFAULT,
     Measure,
     MetricKey,
+    PLAYTHROUGH_HEADER,
     PerformanceTable,
     Playthroughs,
     _cell_name,
@@ -78,7 +78,7 @@ def parse_records(stream: IO[str]) -> list[tuple[str, str, float, bool]]:
     name the offending 1-based line (header = line 1).
     """
     records = []
-    for line, (agent, problem, score_text, win_text) in _csv_rows(stream, _EXPECTED_HEADER):
+    for line, (agent, problem, score_text, win_text) in _csv_rows(stream, PLAYTHROUGH_HEADER):
         if not agent:
             raise ParseError("empty agent identifier", line)
         if not problem:
@@ -139,7 +139,7 @@ def write_playthroughs_csv(records: Playthroughs, stream: IO[str]) -> None:
     """A playthrough CSV of ``records`` written row by row by ``csv.writer``."""
     name = records.names.__getitem__
     w = csv.writer(stream, lineterminator="\n")
-    w.writerow(_EXPECTED_HEADER)
+    w.writerow(PLAYTHROUGH_HEADER)
     w.writerows(zip(map(name, records.agents), map(name, records.problems), records.scores,
                     records.wins))
 
@@ -229,14 +229,15 @@ def from_stats(
         raise InputError("no cells given")
     agents = tuple(sorted({a for a, _ in cells}))
     keys = tuple(sorted({k for _, k in cells}))
-    if _XML_FORBIDDEN.search("".join(agents) + "".join(k.problem for k in keys)):
-        for a, k in cells:
-            bad = _XML_FORBIDDEN.search(a + k.problem)
-            if bad:
-                raise InputError(
-                    f"cell {_cell_name(a, *k)!r} has a name holding "
-                    f"U+{ord(bad.group()):04X}, a character XML 1.0 forbids"
-                )
+    for a, k in cells:
+        if not (a.strip() and k.problem.strip()):
+            raise InputError(f"cell {_cell_name(a, *k)!r} has an empty or blank name")
+        bad = _XML_FORBIDDEN.search(a + k.problem)
+        if bad:
+            raise InputError(
+                f"cell {_cell_name(a, *k)!r} has a name holding "
+                f"U+{ord(bad.group()):04X}, a character XML 1.0 forbids"
+            )
     missing = [(a, k) for a in agents for k in keys if (a, k) not in cells]
     if missing:
         shown = _first_eight([_cell_name(a, *k) for a, k in missing])

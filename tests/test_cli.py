@@ -107,6 +107,41 @@ class TestPipeline:
         assert "records:  120" in captured
         assert "min 20 / avg 20.0 / max 20" in captured
 
+    def test_names_that_need_csv_quoting_survive_every_csv(self, tmp_path):
+        agents = ["a,1", 'b "x"', "c", "d"]
+        problems = ['g "q"', "h,2", "k"]
+        data = tmp_path / "playthroughs.csv"
+        with open(data, "w", newline="", encoding="utf-8") as f:
+            csv.writer(f).writerows([
+                ["agent", "problem", "score", "win"],
+                *([a, p, (i + 1) * (j + 2) % 5 + k / 4, (i * j + k) % 3 == 0]
+                  for i, a in enumerate(agents) for j, p in enumerate(problems)
+                  for k in range(4)),
+            ])
+        out = tmp_path / "run"
+        assert run("ingest", "--input", data, "--out", out) == 0
+        stats = out / "stats.csv"
+        assert run("info-gain", "--stats", stats, "--out", out) == 0
+        assert run("select", "--stats", stats, "--k", 3, "--out", out) == 0
+        assert run("correlate", "--stats", stats, "--out", out) == 0
+        assert run("confusion", "--stats", stats, "--problems", 'g "q",k', "--out", out) == 0
+
+        def read(name):
+            with open(out / name, newline="", encoding="utf-8") as f:
+                return list(csv.reader(f))
+
+        header, *rows = read("stats.csv")
+        assert sorted({r[0] for r in rows}) == sorted(agents)
+        assert sorted({r[1] for r in rows}) == sorted(problems)
+        assert sorted(r[0] for r in read("info_gain.csv")[1:]) == sorted(problems)
+        assert sorted(r[1] for r in read("selection.csv")[1:]) == sorted(problems)
+        for measure in ("win", "score"):
+            header, *rows = read(f"correlation_{measure}.csv")
+            assert header[1:] == [r[0] for r in rows] == sorted(problems)
+            assert sorted(r[0] for r in read(f"clusters_{measure}.csv")[1:]) == sorted(problems)
+        header, *rows = read("confusion.csv")
+        assert header[1:] == [r[0] for r in rows] == sorted(agents)
+
     def test_selection_csv_schema(self, corpus):
         run("select", "--stats", corpus / "stats.csv", "--k", 2, "--out", corpus)
         with open(corpus / "selection.csv") as f:
@@ -320,6 +355,23 @@ class TestExitCodes:
             assert run("ingest", "--input", data / "playthroughs.csv", "--out", tmp_path) == 0
         [message] = [str(w.message) for w in caught]
         assert message.startswith("24 cell(s) with a single playthrough")
+
+    @pytest.mark.parametrize("floor, formats, warned", [
+        ("1e-12", "csv,json", True), ("1e-12", "csv", True),
+        ("1e-12", "json", False), ("1e-9", "csv,json", False),
+    ])
+    def test_a_floor_below_the_default_warns_that_stats_csv_drops_it(
+        self, tmp_path, floor, formats, warned
+    ):
+        data = tmp_path / "data"
+        run("synth", "--agents", 3, "--problems", 2, "--samples", 5, "--out", data)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("ingest", "--input", data / "playthroughs.csv", "--sigma-floor", floor,
+                       "--format", formats, "--out", tmp_path / "run") == 0
+        dropped = [str(w.message) for w in caught if "stats.csv" in str(w.message)]
+        assert dropped == ["stats.csv does not keep --sigma-floor 1e-12: a command reading it "
+                           "floors at 1e-09; stats.json keeps the floor"] * warned
 
     def test_a_warning_prints_as_one_line(self, tmp_path):
         # pytest records warnings in-process, so only a child process
@@ -649,6 +701,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"error: cell '{cell} " in err
         assert f"has a name holding U+{code}, a character XML 1.0 forbids" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, agents, problems, cell", [
+        ("stats.csv", ["", "a"], ["g"], "(, g) win"),
+        ("stats.json", ["", "a"], ["g"], "(, g) win"),
+        ("stats.json", ["a", "b"], [" ", "g"], "(a,  ) win"),
+    ], ids=["csv-empty-agent", "json-empty-agent", "json-blank-problem"])
+    def test_blank_name_exits_2_without_output(
+        self, tmp_path, capsys, kind, agents, problems, cell
+    ):
+        cells = [(a, p, m, i / 4 + j / 8, 0.1, 4) for i, a in enumerate(agents)
+                 for j, p in enumerate(problems) for m in ("win", "score")]
+        stats = tmp_path / kind
+        if kind == "stats.csv":
+            write_stats_rows(stats, cells)
+        else:
+            keys = ("agent", "problem", "measure", "mean", "stddev", "count")
+            stats.write_text(json.dumps({"cells": [dict(zip(keys, c)) for c in cells]}))
+        out = tmp_path / "out"
+        assert run("info-gain", "--stats", stats, "--out", out) == 2
+        assert f"error: cell '{cell}' has an empty or blank name" in capsys.readouterr().err
         assert not out.exists()
 
     def test_lone_surrogate_in_a_stats_json_name_exits_2_without_output(self, tmp_path, capsys):
@@ -1009,18 +1082,6 @@ class TestSynthCommand:
             "--seed", 4, "--out", tmp_path / "b")
         assert (tmp_path / "a/playthroughs.csv").read_bytes() == \
             (tmp_path / "b/playthroughs.csv").read_bytes()
-
-    def test_rows_that_are_not_one_run_per_cell_are_not_written(self, tmp_path, monkeypatch):
-        def one_row_short(spec):
-            records = infobench.generate(spec)
-            for column in (records.agents, records.problems, records.scores, records.wins):
-                column.pop()
-            return records
-
-        monkeypatch.setattr(infobench.cli, "generate", one_row_short)
-        with pytest.raises(RuntimeError, match="generate gave 29 rows, not one run of 5 per cell"):
-            run("synth", "--agents", 3, "--problems", 2, "--samples", 5, "--out", tmp_path)
-        assert not (tmp_path / "playthroughs.csv").exists()
 
     @pytest.mark.parametrize("setting", [("--gap", "1e308"),
                                          ("--archetype", "linear", "--sigma", "1e308")],

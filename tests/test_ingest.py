@@ -258,10 +258,11 @@ def mostly(sound, faults):
     return st.sampled_from([sound] * 7 + [st.sampled_from(faults)]).flatmap(lambda s: s)
 
 
-# mostly sound names and stats, now and then a name XML forbids, a
-# non-finite stat, a negative stddev or a count outside [1, 2**63 - 1]
-STATS_AGENTS = mostly(st.sampled_from(["a", "b", "c", "é"]), ["x\x01"])
-STATS_PROBLEMS = mostly(st.sampled_from(["g", "h", "k"]), ["p\ufffe"])
+# mostly sound names and stats, now and then a blank name or one XML
+# forbids, a non-finite stat, a negative stddev or a count outside
+# [1, 2**63 - 1]
+STATS_AGENTS = mostly(st.sampled_from(["a", "b", "c", "é"]), ["x\x01", "", "\x1c"])
+STATS_PROBLEMS = mostly(st.sampled_from(["g", "h", "k"]), ["p\ufffe", " "])
 STATS_MEASURES = st.sampled_from(["win", "score", Measure.WIN_RATE, Measure.SCORE])
 STATS_MEANS = mostly(st.floats(-10, 10), [-0.0, math.nan, math.inf, -math.inf])
 STATS_STDDEVS = mostly(st.floats(0, 2), [0.0, 1e-12, -0.0, -1.0, math.nan, math.inf])
@@ -320,6 +321,12 @@ def read_rows(rows):
          sigma_floor=1e-9)
 # XML-forbidden names are named at the first row holding one
 @example(rows=[("b", "p\ufffe", "win", 0.5, 1.0, 3), ("x\x01", "g", "win", 0.5, 1.0, 3)],
+         sigma_floor=1e-9)
+# a blank name is named at its row too, before any XML-forbidden one
+# there; U+001C is both, blank after strip() and forbidden in XML
+@example(rows=[("b", "p\ufffe", "win", 0.5, 1.0, 3), ("", "g", "win", 0.5, 1.0, 3)],
+         sigma_floor=1e-9)
+@example(rows=[("\x1c", "g", "win", 0.5, 1.0, 3), ("a", " ", "win", 0.5, 1.0, 3)],
          sigma_floor=1e-9)
 def test_from_stats_matches_the_per_cell_dict_loop(rows, sigma_floor):
     expected = table_outcome(lambda: reference_ingest.from_stats(read_rows(rows), sigma_floor))
