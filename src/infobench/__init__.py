@@ -35,12 +35,10 @@ from .infogain import (
     NegativeMarginal,
     SelectionReport,
     SelectionStep,
-    SubadditivityViolation,
     greedy_select,
     info_gain_set,
     metric_keys_for,
     mutual_information,
-    subadditivity_audit,
 )
 from .perf import (
     Measure,
@@ -83,7 +81,6 @@ __all__ = [
     "SIGMA_FLOOR_DEFAULT",
     "SelectionReport",
     "SelectionStep",
-    "SubadditivityViolation",
     "SynthSpec",
     "aggregate",
     "archetypes",
@@ -99,5 +96,4 @@ __all__ = [
     "mutual_information",
     "parse_records",
     "parse_records_path",
-    "subadditivity_audit",
 ]

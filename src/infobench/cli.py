@@ -57,6 +57,7 @@ _DEFAULT = " (default: %(default)s)"
 def _read_config_file(path: str) -> dict[str, str]:
     """Parse a key=value config file; '#' starts a comment line."""
     values: dict[str, str] = {}
+    key_lines: dict[str, int] = {}
     try:
         # utf-8-sig drops a leading byte-order mark, as the CSV readers do
         text = Path(path).read_text(encoding="utf-8-sig")
@@ -70,10 +71,16 @@ def _read_config_file(path: str) -> dict[str, str]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        where = f"config file {path} line {lineno}"
         if "=" not in line:
-            raise InputError(f"config line {lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+            raise InputError(f"{where}: expected key=value, got {line!r}")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if not key:
+            raise InputError(f"{where}: empty key in {line!r}")
+        if key in key_lines:
+            raise InputError(f"{where}: key {key!r} repeats line {key_lines[key]}")
+        key_lines[key] = lineno
+        values[key] = value
     return values
 
 

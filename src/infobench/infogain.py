@@ -223,36 +223,3 @@ def greedy_select(
         stop_reason=stop_reason,
         negative_marginals=tuple(negatives),
     )
-
-
-@dataclass(frozen=True)
-class SubadditivityViolation:
-    problem: str
-    win_bits: float
-    score_bits: float
-    combined_bits: float
-
-    @property
-    def excess_bits(self) -> float:
-        return self.combined_bits - (self.win_bits + self.score_bits)
-
-
-def subadditivity_audit(
-    table: PerformanceTable, noise: str = DEFAULT_NOISE
-) -> list[SubadditivityViolation]:
-    """Report problems whose combined gain exceeds the sum of the win-only
-    and score-only gains.
-
-    Combining two measurements of the same problem shares information,
-    so the combined gain is expected not to exceed the sum; this is not
-    guaranteed by the Gaussian belief model (weakly separated,
-    correlated measures can sharpen each other), hence an audit rather
-    than an assertion.
-    """
-    gains = problem_gains(table, noise)
-    win, score, combined = (gains[mode].tolist() for mode in SELECTION_MODES)
-    return [
-        SubadditivityViolation(problem, w, s, c)
-        for problem, w, s, c in zip(table.problems, win, score, combined)
-        if c - (w + s) > EPS_GAIN
-    ]

@@ -30,11 +30,12 @@ from conftest import (
 from infobench.cluster import cluster, correlation_matrix
 from infobench.confusion import confusion
 from infobench.infogain import (
+    EPS_GAIN,
     greedy_select,
     info_gain_set,
     metric_keys_for,
     mutual_information,
-    subadditivity_audit,
+    problem_gains,
 )
 from infobench.perf import Measure, MetricKey
 from infobench.synth import Archetype, SynthSpec
@@ -173,14 +174,15 @@ def test_criterion_6_ceiling_for_27_agents():
 def test_criterion_7_subadditivity_audit():
     findings = []
     for name, table in fixture_suite():
-        for violation in subadditivity_audit(table):
-            findings.append((name, violation))
-    for name, v in findings:
-        print(
-            f"[acceptance] sub-additivity violated in {name}/{v.problem}: "
-            f"combined {v.combined_bits:.6f} > win {v.win_bits:.6f} "
-            f"+ score {v.score_bits:.6f} (excess {v.excess_bits:.2e} bits)"
-        )
+        gains = problem_gains(table)
+        excess = gains["combined"] - (gains["win"] + gains["score"])
+        for i in np.flatnonzero(excess > EPS_GAIN):
+            findings.append(name)
+            print(
+                f"[acceptance] sub-additivity violated in {name}/{table.problems[i]}: "
+                f"combined {gains['combined'][i]:.6f} > win {gains['win'][i]:.6f} "
+                f"+ score {gains['score'][i]:.6f} (excess {excess[i]:.2e} bits)"
+            )
     assert not findings
     _pass(7, "combined gain sub-additive on every shipped fixture")
 

@@ -892,6 +892,20 @@ class TestConfigFile:
         assert run("select", "--stats", corpus / "stats.csv", "--out", corpus,
                    "--config", cfg) == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("k=1\njust words\n", "line 2: expected key=value, got 'just words'"),
+        ("k=1\n=5\n", "line 2: empty key in '=5'"),
+        ("k=2\n# comment\n k = 3\n", "line 3: key 'k' repeats line 1"),
+    ], ids=["no-equals", "empty-key", "repeated-key"])
+    def test_bad_config_line_names_file_and_line(self, corpus, tmp_path, capsys, text, message):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert run("select", "--stats", corpus / "stats.csv", "--out", out,
+                   "--config", cfg) == 2
+        assert f"error: config file {cfg} {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_value(self, corpus, tmp_path, capsys):
         cfg = tmp_path / "run.conf"
         cfg.write_text("k=abc\n")
