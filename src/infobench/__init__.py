@@ -9,6 +9,29 @@ correlation of agent performance.
 
 __version__ = "0.1.0"
 
+
+def _import_numpy_with_one_blas_thread() -> None:
+    """Import numpy with OpenBLAS limited to one thread, unless numpy is
+    already loaded or the caller set a thread count.
+
+    No command calls a BLAS routine, and OpenBLAS's idle workers spin CPU
+    time as they start.  The variable is removed again, so child processes
+    inherit the caller's environment."""
+    import os
+    import sys
+
+    names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    if "numpy" in sys.modules or any(name in os.environ for name in names):
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401  OpenBLAS reads the variable as it loads
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+
+_import_numpy_with_one_blas_thread()
+
 from .cluster import (
     ClusterResult,
     CorrelationMatrix,

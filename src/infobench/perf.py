@@ -32,7 +32,7 @@ import warnings
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, compress, repeat
+from itertools import chain, compress, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import add, sub
 from pathlib import Path
@@ -454,6 +454,7 @@ def _gaussian_stat(values: Sequence[float]) -> tuple[float, float, int]:
     return mean, math.sqrt(ssd / (n - 1)) if n > 1 else 0.0, n
 
 
+@functools.cache
 def _win_stat(won: int, n: int) -> tuple[float, float, int]:
     """``_gaussian_stat`` of ``won`` outcomes 1.0 and ``n - won`` outcomes
     0.0, bit for bit, from the two counts."""
@@ -607,8 +608,8 @@ class _StatsCells:
 
 def stats_json_document(table: PerformanceTable) -> dict:
     """The stats JSON document of ``table``.  Its ``cells`` is an
-    iterable, not a list: ``canonical_json_pieces`` writes it cell by
-    cell."""
+    iterable, not a list: ``canonical_json_pieces`` writes it a block of
+    cells at a time."""
     return {
         "agents": list(table.agents),
         "problems": list(table.problems),
@@ -620,7 +621,9 @@ def stats_json_document(table: PerformanceTable) -> dict:
 def canonical_json_pieces(document) -> Iterator[str]:
     """The text of ``dumps_canonical_json(document)`` as consecutive
     pieces: each scalar's or flat container's text with the separator
-    before it, and each closing bracket of a container of containers."""
+    before it, except that a list's consecutive non-empty dicts of scalars
+    are one piece per block of up to ``_FLAT_DICT_BLOCK``, and each
+    closing bracket of a container of containers."""
     yield from _encode_json(document, "\n")
     yield "\n"
 
@@ -638,6 +641,9 @@ def dumps_canonical_json(document) -> str:
 
 
 _JSON_SCALARS = (str, int, float, type(None))
+# dicts of scalars in a list are encoded this many at a time: a block of
+# 128 stats.json cells traces about 0.2 MiB, and larger blocks are no faster
+_FLAT_DICT_BLOCK = 128
 
 
 @functools.cache
@@ -661,8 +667,8 @@ def _encode_json(value, newline: str, prefix: str = "") -> Iterator[str]:
     ``prefix``, the separator before it, held in its first piece.
 
     An iterable other than a dict, list, tuple or string is written as a
-    list, one item at a time, so rows made as they are read are never
-    held together."""
+    list, one item or one block of dicts at a time, so rows made as they
+    are read are never all held together."""
     if isinstance(value, dict):
         items = value.values()
     elif isinstance(value, (list, tuple)):
@@ -685,11 +691,45 @@ def _encode_json(value, newline: str, prefix: str = "") -> Iterator[str]:
         yield newline + "}"
     else:
         separator = opening = prefix + "[" + inner
-        for item in value:
-            yield from _encode_json(item, inner, separator)
-            separator = "," + inner
+        for block in _dict_blocks(value):
+            # a block of non-empty dicts of scalars is one encoder call;
+            # the check runs in C
+            if type(block[0]) is dict and all(block) and all(map(
+                isinstance, chain.from_iterable(map(dict.values, block)), repeat(_JSON_SCALARS)
+            )):
+                yield separator + _flat_dicts_json(block, inner)
+                separator = "," + inner
+                continue
+            for item in block:
+                yield from _encode_json(item, inner, separator)
+                separator = "," + inner
         # only a streamed list can be empty here
         yield newline + "]" if separator is not opening else prefix + "[]"
+
+
+def _dict_blocks(items: Iterable) -> Iterator[list]:
+    """``items`` as lists: consecutive dicts up to ``_FLAT_DICT_BLOCK`` at
+    a time, and every other item alone."""
+    for kind, run in groupby(items, type):
+        if kind is dict:
+            while block := list(islice(run, _FLAT_DICT_BLOCK)):
+                yield block
+        else:
+            yield from ([item] for item in run)
+
+
+def _flat_dicts_json(block: list[dict], newline: str) -> str:
+    """The ``indent=2`` texts of consecutive non-empty dicts of scalars,
+    each but the first after the item separator ``"," + newline``, from one
+    C encoder call.
+
+    The encoder writes ``}``, the item separator and ``{`` only between two
+    dicts, since ASCII escaping leaves no raw newline in a string; each
+    such break gains the line breaks just inside the brackets."""
+    inner = newline + "  "
+    text = _flat_json(inner)(block)[2:-2]  # without the list's and the outer dicts' brackets
+    text = text.replace("}," + inner + "{", newline + "}," + newline + "{" + inner)
+    return "{" + inner + text + newline + "}"
 
 
 def read_stats_csv(stream: IO[str]) -> PerformanceTable:

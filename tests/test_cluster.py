@@ -61,8 +61,9 @@ class TestCorrelationMatrix:
         assert cluster(corr).excluded == ("c1", "c2")
 
     def test_bytes_do_not_depend_on_blas_threads(self):
-        # a BLAS matrix product splits its sums by thread; where OpenBLAS
-        # runs one thread anyway both children agree regardless
+        # a BLAS matrix product splits its sums by thread; the child imports
+        # numpy first, so each count is set here; where OpenBLAS runs one
+        # thread anyway both children agree regardless
         child = (
             "import hashlib, numpy as np\n"
             "from infobench.cluster import correlation_matrix\n"
@@ -78,11 +79,10 @@ class TestCorrelationMatrix:
             "    print(hashlib.sha256(correlation_matrix(table, measure).values.tobytes()).hexdigest())\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(infobench.__file__).parents[1]))
-        env.pop("OPENBLAS_NUM_THREADS", None)
         outputs = [
-            subprocess.run([sys.executable, "-c", child], env=threads, check=True,
-                           capture_output=True, text=True).stdout
-            for threads in (env, dict(env, OPENBLAS_NUM_THREADS="1"))
+            subprocess.run([sys.executable, "-c", child], check=True, capture_output=True,
+                           text=True, env=dict(env, OPENBLAS_NUM_THREADS=threads)).stdout
+            for threads in ("1", "2")
         ]
         assert outputs[0] == outputs[1]
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cell, full_table, playthrough_rows, playthroughs, traced_peak
+from infobench import perf
 from infobench.errors import CompletenessError, InputError, ParseError
 from infobench.perf import (
     Measure,
@@ -27,6 +28,7 @@ from infobench.perf import (
 
 
 STATS_CSV_HEADER = "agent,problem,measure,mean,stddev,count\n"
+BLOCK = perf._FLAT_DICT_BLOCK  # dicts of scalars per JSON piece
 
 
 def parse(text):
@@ -456,18 +458,33 @@ class TestCanonicalJson:
         expected = json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
         assert dumps_canonical_json(document) == expected
 
-    def test_pieces_are_one_per_flat_container(self):
+    def test_pieces_are_one_per_block_of_flat_cells(self, monkeypatch):
+        monkeypatch.setattr(perf, "_FLAT_DICT_BLOCK", 5)
         rows = [(f"a{a}", f"p{p}", m, 0.5, 0.1, 3) for a in range(3) for p in range(2)
                 for m in ("score", "win")]
         document = stats_json_document(PerformanceTable.from_stats(rows))
         pieces = list(canonical_json_pieces(document))
         assert "".join(pieces) == dumps_canonical_json(document)
-        # "agents", each of the 12 cells with its separator, the cells'
-        # "]", "problems", "sigma_floor", the document's "}" and the newline
-        assert len(pieces) == 12 + 6
-        assert all(piece.count('"agent"') == 1 for piece in pieces[1:13])
+        # "agents", the 12 cells in blocks of 5, 5 and 2 with their
+        # separators, the cells' "]", "problems", "sigma_floor", the
+        # document's "}" and the newline
+        assert len(pieces) == 3 + 6
+        assert [piece.count('"agent"') for piece in pieces[1:4]] == [5, 5, 2]
 
-    @pytest.mark.parametrize("rows", [[], [[]], [[1.5, None], [-2, "x"]], [{"b": 1, "a": [2]}, 3]])
+    @pytest.mark.parametrize("count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    def test_block_boundaries(self, count):
+        # names holding JSON's punctuation, and the text between two cells,
+        # which escaping keeps out of the encoder's text
+        names = ["}", "{", ",", '"', "\\", "\n", "},\n      {", "a"]
+        cells = [{"agent": names[i % len(names)], "count": i, "mean": i / 7, "x": None}
+                 for i in range(count)]
+        document = {"agents": names, "cells": cells, "sigma_floor": 1e-9}
+        expected = json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        assert dumps_canonical_json(document) == expected
+        assert dumps_canonical_json(dict(document, cells=iter(cells))) == expected
+
+    @pytest.mark.parametrize("rows", [[], [[]], [[1.5, None], [-2, "x"]], [{"b": 1, "a": [2]}, 3],
+                                      [{"a": 1}, {"b": "}"}, {}, {"c": [1]}, {"d": None}, 2]])
     def test_an_iterable_is_written_as_its_list(self, rows):
         # a generator, alone or in a container, is read once as it is written
         for document, streamed in ((rows, iter(rows)), ([rows], [iter(rows)]),
