@@ -464,7 +464,7 @@ def main(argv: list[str] | None = None) -> int:
     # swapped, so a caller that records warnings still gets them
     default_format, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
-        if args.config:
+        if args.config is not None:
             # the config file supplies defaults for the chosen command only,
             # so a second parse lets explicit flags win over it
             commands = next(a for a in parser._actions if a.dest == "command")

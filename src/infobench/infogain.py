@@ -179,6 +179,11 @@ def greedy_select(
     if not math.isfinite(math.log2(n) / eps_gain):
         raise InputError(f"eps_gain must be at least log2({n}) / max float, got {eps_gain:g}")
     names, bundles = zip(*_candidate_units(table, mode, per_key))
+    # each key's term is computed once; stack_gains adds the picked bundles'
+    # terms, then each candidate's, in the order
+    # info_gain_set(selected + candidate) would, so gains are bit-identical.
+    # Building the stack checks every candidate's keys, before any warning.
+    stack = log_weight_stack(table, bundles, noise)
     if k > len(names):
         warnings.warn(
             f"k={k} exceeds the {len(names)} available candidates; selecting all",
@@ -186,10 +191,6 @@ def greedy_select(
         )
         k = len(names)
 
-    # each key's term is computed once; stack_gains adds the picked bundles'
-    # terms, then each candidate's, in the order
-    # info_gain_set(selected + candidate) would, so gains are bit-identical
-    stack = log_weight_stack(table, bundles, noise)
     remaining = np.arange(len(names))  # indices into names, so in sorted order
     picked: list[int] = []
     steps: list[SelectionStep] = []

@@ -7,15 +7,15 @@ metric cells: the win rate (mean of the 0/1 outcomes) and the score,
 both modelled as Gaussians with a sample mean, a Bessel-corrected sample
 standard deviation and a sample count.
 
-Every table is built by ``PerformanceTable.from_columns`` from one
-column per stat: each row's agent, metric key, mean, stddev and count.
-``aggregate`` fills the columns from its sorted runs; both stats readers
-reach it through ``PerformanceTable.from_stats``, which gathers the
-``(agent, problem, measure, mean, stddev, count)`` rows of a stats file
-into columns.  ``from_columns`` alone decides a cell's noise scale: it
-floors every standard deviation at ``sigma_floor``, so deterministic
-cells (e.g. an agent that always wins) never produce a zero noise scale
-downstream, and it reports those cells.
+Every table is built by ``PerformanceTable.from_stats`` from
+``(agent, problem, measure, mean, stddev, count)`` rows, the rows a
+stats file holds: ``aggregate`` yields each cell's score row and win row
+to it and keeps none of them, and both stats readers hand it the rows
+they read.  ``from_stats`` gathers the rows into one column per stat and
+alone decides a cell's noise scale: it floors every standard deviation
+at ``sigma_floor``, so deterministic cells (e.g. an agent that always
+wins) never produce a zero noise scale downstream, and it reports those
+cells.
 
 Both headed CSV inputs, playthroughs and stats, are read row by row by
 ``_csv_rows``, and both files are opened and decoded by ``_read_text``.
@@ -147,11 +147,6 @@ def _raise_first_duplicate(agents: Sequence[str], keys: Sequence[MetricKey]) -> 
                 f"duplicate stats row for cell {_cell_name(agent, problem, measure)}"
             ) from None
         seen.add(cell)
-
-
-def _check_sigma_floor(sigma_floor: float) -> None:
-    if not (sigma_floor > 0 and math.isfinite(sigma_floor)):
-        raise InputError(f"sigma_floor must be positive and finite, got {sigma_floor}")
 
 
 def _cell_name(agent: str, problem: str, measure: Measure) -> str:
@@ -286,9 +281,18 @@ class PerformanceTable:
         sigma_floor: float = SIGMA_FLOOR_DEFAULT,
     ) -> "PerformanceTable":
         """Build a table from ``(agent, problem, measure, mean, stddev, count)``
-        rows, the rows of a stats file, in any order, through
-        ``from_columns``."""
-        _check_sigma_floor(sigma_floor)
+        rows, the rows of a stats file, in any order.
+
+        Every agent appearing anywhere must have exactly one row for
+        every key appearing anywhere, and no agent or problem name may be
+        blank, or hold a character XML 1.0 forbids, since heatmaps carry
+        the names.
+        Standard deviations are floored at ``sigma_floor`` here, with one
+        counted warning for the cells of a single playthrough and one for
+        the cells of two or more whose stddev is below the floor.
+        """
+        if not (sigma_floor > 0 and math.isfinite(sigma_floor)):
+            raise InputError(f"sigma_floor must be positive and finite, got {sigma_floor}")
         # the rows as five columns, in row order: one str per distinct
         # agent and one MetricKey per distinct key, the stats as C doubles;
         # counts stay ints, so a fault message names a count as given
@@ -309,31 +313,6 @@ class PerformanceTable:
             # a duplicate among the rows before the one that failed comes first
             _raise_first_duplicate(row_agents, row_keys)
             raise
-        return cls.from_columns(row_agents, row_keys, means, stddevs, counts, sigma_floor)
-
-    @classmethod
-    def from_columns(
-        cls,
-        row_agents: Sequence[str],
-        row_keys: Sequence[MetricKey],
-        means: Sequence[float],
-        stddevs: Sequence[float],
-        counts: Sequence[int],
-        sigma_floor: float = SIGMA_FLOOR_DEFAULT,
-    ) -> "PerformanceTable":
-        """Build a table from one column per stat: row ``i`` gives the
-        cell ``(row_agents[i], row_keys[i])`` its ``means[i]``,
-        ``stddevs[i]`` and ``counts[i]``, in any row order.
-
-        Every agent appearing anywhere must have exactly one row for
-        every key appearing anywhere, and no agent or problem name may be
-        blank, or hold a character XML 1.0 forbids, since heatmaps carry
-        the names.
-        Standard deviations are floored at ``sigma_floor`` here, with one
-        counted warning for the cells of a single playthrough and one for
-        the cells of two or more whose stddev is below the floor.
-        """
-        _check_sigma_floor(sigma_floor)
         if not row_agents:
             raise InputError("no cells given")
         agents = tuple(sorted(set(row_agents)))
@@ -538,28 +517,27 @@ def aggregate(
         if not agents:
             raise InputError("no agent covers every problem")
 
-    # the table's columns, row by row in (agent, key) order; a problem's
-    # score key sorts before its win key
-    keys = [(MetricKey(p, Measure.SCORE), MetricKey(p, Measure.WIN_RATE)) for p in problems]
     bounds, wins = [*starts.tolist(), len(records)], wins.tolist()
-    means, stddevs, counts = array("d"), array("d"), array("q")
-    for agent, agent_runs in zip(agents, runs.tolist()):
-        for (score_key, _), run in zip(keys, agent_runs):
-            start, end = bounds[run], bounds[run + 1]
-            try:
-                score = _gaussian_stat(scores[start:end].tolist())
-            except OverflowError:
-                raise InputError(
-                    f"{_cell_name(agent, *score_key)} values are too large to "
-                    "summarise in floating point"
-                ) from None
-            for mean, stddev, count in (score, _win_stat(wins[run], end - start)):
-                means.append(mean)
-                stddevs.append(stddev)
-                counts.append(count)
-    row_agents = [agent for agent in agents for _ in range(2 * len(problems))]
-    row_keys = [key for cell_keys in keys for key in cell_keys] * len(agents)
-    return PerformanceTable.from_columns(row_agents, row_keys, means, stddevs, counts, sigma_floor)
+
+    def rows():
+        # each cell's score row and win row, as _stats_rows writes them, in
+        # the table's (agent, key) order: a problem's score key sorts first
+        score_measure, win_measure = Measure.SCORE.value, Measure.WIN_RATE.value
+        for agent, agent_runs in zip(agents, runs.tolist()):
+            for problem, run in zip(problems, agent_runs):
+                start, end = bounds[run], bounds[run + 1]
+                try:
+                    mean, stddev, count = _gaussian_stat(scores[start:end].tolist())
+                except OverflowError:
+                    raise InputError(
+                        f"{_cell_name(agent, problem, Measure.SCORE)} values are too large "
+                        "to summarise in floating point"
+                    ) from None
+                yield agent, problem, score_measure, mean, stddev, count
+                mean, stddev, count = _win_stat(wins[run], end - start)
+                yield agent, problem, win_measure, mean, stddev, count
+
+    return PerformanceTable.from_stats(rows(), sigma_floor)
 
 
 # ---------------------------------------------------------------------------

@@ -735,12 +735,22 @@ class TestExitCodes:
         )
         assert not out.exists()
 
-    def test_missing_measure_exits_2_without_output(self, tmp_path, capsys):
+    @pytest.mark.parametrize("k", [["--k", "1"], []], ids=["k-1", "default-k"])
+    def test_missing_measure_exits_2_without_output(self, tmp_path, k):
+        # a child process, since pytest records warnings in-process: the
+        # error comes before any warning that k exceeds the candidates
         table = score_table({"g": ((0.0, 1.0, 2.0), (1.0, 1.0, 1.0))})
         stats = stats_file(tmp_path, table)
         out = tmp_path / "out"
-        assert run("select", "--stats", stats, "--k", 1, "--out", out) == 2
-        assert "no cell for problem 'g' measure 'win'" in capsys.readouterr().err
+        env = dict(os.environ, PYTHONPATH=str(Path(infobench.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "infobench", "select", "--stats", str(stats), *k,
+             "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 2
+        assert "no cell for problem 'g' measure 'win'" in done.stderr
+        assert "warning:" not in done.stderr
         assert not out.exists()
 
 
@@ -937,10 +947,12 @@ class TestConfigFile:
         assert "error: config key 'per-key': not a boolean: 'maybe'" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unreadable_config_file_exits_2(self, corpus, tmp_path, capsys):
+    @pytest.mark.parametrize("config", ["missing.conf", ""], ids=["missing", "empty-path"])
+    def test_unreadable_config_file_exits_2(self, corpus, tmp_path, capsys, config):
         out = tmp_path / "out"
+        path = str(tmp_path / config) if config else ""
         assert run("select", "--stats", corpus / "stats.csv", "--out", out,
-                   "--config", tmp_path / "missing.conf") == 2
+                   "--config", path) == 2
         assert "error: cannot read config file" in capsys.readouterr().err
         assert not out.exists()
 

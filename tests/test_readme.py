@@ -1,4 +1,6 @@
-"""The README's library example runs as written on a synth corpus."""
+"""The README's library example runs as written on a synth corpus, and
+its flag table lists each command's flags and defaults as the parser
+declares them."""
 
 import math
 import re
@@ -6,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from infobench.cli import main
+from infobench.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -35,3 +37,35 @@ def test_library_example_runs_on_a_synth_corpus(tmp_path, capsys):
         f"{step.problem} {step.marginal_bits} {step.cumulative_bits}" for step in steps
     ]
     assert sorted(names["clusters"].display_order) == sorted(names["corr"].problems)
+
+
+def flag_table() -> dict[str, str]:
+    """README's flag table: each command's flags cell, by command."""
+    table = README.read_text(encoding="utf-8").split("\n| command | flags |\n|---|---|\n", 1)[1]
+    table = table.split("\n\n", 1)[0]
+    return dict(re.fullmatch(r"\| `([\w-]+)` \| (.*) \|", row).groups() for row in table.splitlines())
+
+
+COMMANDS = next(a for a in build_parser()._actions if a.dest == "command").choices
+
+
+def test_flag_table_has_a_row_per_command():
+    assert flag_table().keys() == COMMANDS.keys()
+
+
+# every command takes these, and the text above the table names them
+UNLISTED = {"--help", "--out", "--config"}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_flag_table_row_matches_the_parser(command):
+    # a flag is `--name ...`, and a default follows it as ` (value)`
+    flags = re.findall(r"`(--[\w-]+)[^`]*`(?: \(`?([^`)]*)`?\))?", flag_table()[command])
+    options = {o: a for a in COMMANDS[command]._actions for o in a.option_strings}
+    listed = [flag for flag, _ in flags]
+    assert len(set(listed)) == len(listed)
+    assert set(listed) == {o for o in options if o.startswith("--")} - UNLISTED
+    for flag, default in flags:
+        if default:
+            action = options[flag]
+            assert (action.type or str)(default) == action.default, flag
