@@ -10,9 +10,10 @@ input or usage.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import warnings
+from collections import deque
+from contextlib import ExitStack
 from pathlib import Path
 
 from . import __version__
@@ -40,7 +41,9 @@ from .perf import (
     SIGMA_FLOOR_DEFAULT,
     aggregate,
     canonical_json_pieces,
+    csv_writer,
     dumps_canonical_json,  # noqa: F401  (unused here; perfbench/tracing.py wraps cli.dumps_canonical_json)
+    float_text_rows,
     load_stats,
     parse_records_path,
     stats_json_document,
@@ -134,21 +137,31 @@ def _config_defaults(command: argparse.ArgumentParser, config: dict[str, str]) -
 
 
 def _write_files(args: argparse.Namespace, files) -> None:
-    """Write each ``(name, write)`` of ``files`` into ``--out``, where
-    ``write(f)`` fills the open text file.  A .csv, .json or .svg file
-    whose format ``--format`` leaves out is skipped; any other file, and
-    every file of a command without ``--format``, is written.  A
-    ``--format`` that leaves no file is an ``InputError``.  Commands call
-    this once, after computing everything, so an error in reading or
-    computing leaves no files and no ``--out``.  An ``OSError`` while
-    writing stops at the file it hit, which may be left part-written;
-    ``--out`` and the files written before it stay."""
+    """Write each ``(names, write)`` of ``files`` into ``--out``, where
+    ``names`` is one file name or a tuple of names and ``write`` gets one
+    open text file per name and fills them all in one pass.  A .csv,
+    .json or .svg file whose format ``--format`` leaves out is not opened:
+    ``write`` gets None in its place, and an entry all of whose files it
+    leaves out is skipped.  Any other file, and every file of a command
+    without ``--format``, is written.  A ``--format`` that leaves no file
+    is an ``InputError``.  Commands call this once, after computing
+    everything, so an error in reading or computing leaves no files and
+    no ``--out``.  An ``OSError`` while writing stops at the entry it hit,
+    whose files may be left part-written, every one of them for an entry
+    that names several; ``--out`` and the files written before it stay."""
     formats = getattr(args, "formats", ALL_FORMATS)
-    suffixes = [name.rpartition(".")[2] for name, _ in files]
-    chosen = [
-        file for file, suffix in zip(files, suffixes)
-        if suffix not in ALL_FORMATS or suffix in formats
-    ]
+    entries = [((names,) if isinstance(names, str) else names, write) for names, write in files]
+    suffixes = {name.rpartition(".")[2] for names, _ in entries for name in names}
+
+    def kept(name: str) -> str | None:
+        suffix = name.rpartition(".")[2]
+        return name if suffix not in ALL_FORMATS or suffix in formats else None
+
+    chosen = []
+    for names, write in entries:
+        names = list(map(kept, names))
+        if any(names):
+            chosen.append((names, write))
     if not chosen:
         offered = ", ".join(f for f in ALL_FORMATS if f in suffixes)
         given = ",".join(formats) or "''"
@@ -156,11 +169,15 @@ def _write_files(args: argparse.Namespace, files) -> None:
             f"--format {given} selects none of {args.command}'s formats: {offered}"
         )
     args.out.mkdir(parents=True, exist_ok=True)
-    for name, write in chosen:
-        path = args.out / name
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            write(f)
-        print(f"wrote {path}")
+    for names, write in chosen:
+        paths = [name and args.out / name for name in names]
+        with ExitStack() as stack:
+            write(*(
+                path and stack.enter_context(open(path, "w", newline="", encoding="utf-8"))
+                for path in paths
+            ))
+        for path in filter(None, paths):
+            print(f"wrote {path}")
 
 
 def _json(f, doc) -> None:
@@ -285,28 +302,42 @@ def cmd_select(args: argparse.Namespace) -> int:
     return 0
 
 
-def _matrix_rows(corr):
-    """Each row of the correlation matrix as a list, made as it is read.
-    None marks an undefined entry: JSON null, an empty CSV field."""
-    return ([None if math.isnan(v) else v for v in row.tolist()] for row in corr.values)
+def _correlation_rows(corr, csv_file):
+    """The rows of ``corr``'s matrix from ``float_text_rows``, each also
+    written to ``csv_file``, when one is given, as it is made."""
+    if csv_file is None:
+        yield from float_text_rows(corr.values)
+        return
+    writer = csv_writer(csv_file)
+    writer.writerow(["problem", *corr.problems])
+    for problem, texts in zip(corr.problems, float_text_rows(corr.values)):
+        writer.writerow([problem, *texts])
+        yield texts
 
 
 def _measure_files(name: str, corr, clustering, threshold: float) -> list:
-    """The correlation, cluster and heatmap files of one measure."""
-    return [
-        (f"correlation_{name}.csv", lambda f: write_csv(
-            f, ["problem", *corr.problems],
-            ([p, *row] for p, row in zip(corr.problems, _matrix_rows(corr))))),
-        (f"clusters_{name}.csv", lambda f: write_csv(
-            f, ("problem", "cluster_id"), sorted(clustering.assignments().items()))),
-        (f"correlation_{name}.json", lambda f: _json(f, {
+    """The correlation, cluster and heatmap files of one measure.  The
+    correlation CSV and JSON are one entry, filled in one pass over the
+    matrix rows, so each value is formatted once for both."""
+
+    def write_correlation(csv_file, json_file) -> None:
+        rows = _correlation_rows(corr, csv_file)
+        if json_file is None:
+            deque(rows, maxlen=0)
+            return
+        _json(json_file, {
             "measure": name,
             "problems": list(corr.problems),
-            "matrix": _matrix_rows(corr),
+            "matrix": rows,
             "threshold": threshold,
             "clusters": [list(c) for c in clustering.clusters],
             "no_correlation_measure": list(clustering.excluded),
-        })),
+        })
+
+    return [
+        ((f"correlation_{name}.csv", f"correlation_{name}.json"), write_correlation),
+        (f"clusters_{name}.csv", lambda f: write_csv(
+            f, ("problem", "cluster_id"), sorted(clustering.assignments().items()))),
         (f"heatmap_{name}.svg", lambda f: f.writelines(
             heatmap_lines(corr, clustering, title=f"problem correlation ({name})"))),
     ]

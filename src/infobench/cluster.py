@@ -52,9 +52,6 @@ class CorrelationMatrix:
         """Per-problem flag: does the problem vary across agents at all?"""
         return ~np.isnan(np.diagonal(self.values))
 
-    def entry(self, a: str, b: str) -> float:
-        return float(self.values[self.problems.index(a), self.problems.index(b)])
-
 
 def correlation_matrix(table: PerformanceTable, measure: Measure) -> CorrelationMatrix:
     """Pearson correlation between every problem pair for one measure.

@@ -558,12 +558,37 @@ def _stats_rows(table: PerformanceTable):
             yield agent, problem, measure, mean, stddev, count
 
 
-def write_csv(stream: IO[str], header: Iterable[str], rows: Iterable[Iterable]) -> None:
-    """Write ``header`` and ``rows`` in the one dialect of every CSV the
+def csv_writer(stream: IO[str]):
+    """A ``csv.writer`` on ``stream`` in the one dialect of every CSV the
     tool writes: ``csv.writer``'s, lines ending in ``"\n"``."""
-    w = csv.writer(stream, lineterminator="\n")
+    return csv.writer(stream, lineterminator="\n")
+
+
+def write_csv(stream: IO[str], header: Iterable[str], rows: Iterable[Iterable]) -> None:
+    """Write ``header`` and ``rows`` through ``csv_writer``."""
+    w = csv_writer(stream)
     w.writerow(header)
     w.writerows(rows)
+
+
+class _FloatTexts(list):
+    """A row of numbers already formatted by ``float.__repr__``, with None
+    for an undefined value.  ``_encode_json`` lays it out as a flat list
+    with one join, None as ``null``."""
+
+    __slots__ = ()
+
+
+def float_text_rows(values: np.ndarray) -> Iterator[list]:
+    """Each row of the float matrix ``values`` with every value formatted
+    once by ``float.__repr__``, the text both ``csv.writer`` and the JSON
+    encoder write for it, and None for NaN: an empty CSV field, JSON
+    ``null``.  Rows are made one at a time, as they are read."""
+    for row in values:
+        texts = _FloatTexts(map(float.__repr__, row.tolist()))
+        for j in np.flatnonzero(np.isnan(row)).tolist():
+            texts[j] = None
+        yield texts
 
 
 def write_stats_csv(table: PerformanceTable, stream: IO[str]) -> None:
@@ -647,6 +672,11 @@ def _encode_json(value, newline: str, prefix: str = "") -> Iterator[str]:
     An iterable other than a dict, list, tuple or string is written as a
     list, one item or one block of dicts at a time, so rows made as they
     are read are never all held together."""
+    inner = newline + "  "
+    if type(value) is _FloatTexts:
+        texts = ["null" if text is None else text for text in value]
+        yield f"{prefix}[{inner}{(',' + inner).join(texts)}{newline}]" if texts else prefix + "[]"
+        return
     if isinstance(value, dict):
         items = value.values()
     elif isinstance(value, (list, tuple)):
@@ -656,8 +686,7 @@ def _encode_json(value, newline: str, prefix: str = "") -> Iterator[str]:
         return
     else:
         items = None  # read once, as it is written
-    inner = newline + "  "
-    if items is not None and all(isinstance(item, _JSON_SCALARS) for item in items):
+    if items is not None and all(map(isinstance, items, repeat(_JSON_SCALARS))):
         text = _flat_json(inner)(value)
         # the C encoder's text lacks the line breaks just inside the brackets
         yield f"{prefix}{text[0]}{inner}{text[1:-1]}{newline}{text[-1]}" if items else prefix + text

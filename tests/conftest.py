@@ -78,6 +78,11 @@ def cell(table, agent, key):
     return float(table.means[i, j]), float(table.stddevs[i, j]), int(table.counts[i, j])
 
 
+def entry(corr, a, b):
+    """The correlation of problems ``a`` and ``b`` in a ``CorrelationMatrix``."""
+    return float(corr.values[corr.problems.index(a), corr.problems.index(b)])
+
+
 def exact_table(spec, sigma_floor=SIGMA_FLOOR_DEFAULT):
     """The population-parameter table a spec converges to with infinite samples.
 

@@ -20,6 +20,7 @@ import pytest
 from conftest import (
     PEARSON_123_124,
     THREE_AGENT_MI_BITS,
+    entry,
     fixture_suite,
     full_table,
     random_score_table,
@@ -218,9 +219,9 @@ def test_criterion_9_correlation_and_clustering():
         }
     )
     corr = correlation_matrix(table, Measure.SCORE)
-    assert corr.entry("g", "anti") == -1.0
-    assert corr.entry("g", "g") == 1.0
-    assert corr.entry("g", "near") == pytest.approx(PEARSON_123_124, abs=1e-4)
+    assert entry(corr, "g", "anti") == -1.0
+    assert entry(corr, "g", "g") == 1.0
+    assert entry(corr, "g", "near") == pytest.approx(PEARSON_123_124, abs=1e-4)
 
     up = (1.0, 2.0, 3.0, 4.0)
     blocks = score_table(

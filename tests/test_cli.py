@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -18,7 +19,14 @@ from conftest import full_table, score_table, traced_peak
 import infobench
 from infobench.cli import _measure_files, main
 from infobench.cluster import DEFAULT_THRESHOLD, cluster, correlation_matrix
-from infobench.perf import Measure, stats_json_document, write_stats_csv
+from infobench.perf import (
+    Measure,
+    canonical_json_pieces,
+    load_stats,
+    stats_json_document,
+    write_csv,
+    write_stats_csv,
+)
 from reference_heatmap import read_heatmap_cells
 
 
@@ -284,27 +292,100 @@ class TestPipeline:
         assert peak / 120**2 <= 100
 
     @staticmethod
-    def correlation_file_peak(path, name):
-        """The traced peak of writing ``name``, one file of the score
-        correlation of 50 agents x 500 problems, to ``path``."""
+    def correlation_files_peak(path):
+        """The traced peak of the one pass that writes
+        ``correlation_score.csv`` and ``correlation_score.json``, both open,
+        for the score correlation of 50 agents x 500 problems, into
+        ``path``."""
         rng = np.random.default_rng(3)
         table = score_table({f"p{j:03d}": (rng.normal(0.0, 1.0, 50), np.ones(50))
                              for j in range(500)})
         corr = correlation_matrix(table, Measure.SCORE)
         files = _measure_files("score", corr, cluster(corr, DEFAULT_THRESHOLD), DEFAULT_THRESHOLD)
-        write = dict(files)[name]
-        with open(path / name, "w", newline="", encoding="utf-8") as f:
-            return traced_peak(write, f)
+        names = ("correlation_score.csv", "correlation_score.json")
+        with open(path / names[0], "w", newline="", encoding="utf-8") as csv_file, \
+                open(path / names[1], "w", newline="", encoding="utf-8") as json_file:
+            return traced_peak(dict(files)[names], csv_file, json_file)
 
     def test_correlation_csv_holds_one_row_at_a_time(self, tmp_path):
-        # each row's list is made as it is written; the whole 500 x 500
-        # matrix as nested lists of Python floats took about 7.9 MiB
-        assert self.correlation_file_peak(tmp_path, "correlation_score.csv") <= 2**20
+        # each row's texts are made as they are written; the whole 500 x 500
+        # matrix as nested lists of Python floats took about 7.9 MiB, and
+        # caching the texts of its upper triangle would hold 125,250 strings
+        assert self.correlation_files_peak(tmp_path) <= 2**20
+        assert len((tmp_path / "correlation_score.csv").read_text().splitlines()) == 501
 
     def test_correlation_json_holds_one_row_at_a_time(self, tmp_path):
-        # each row's list is made as it is written; the whole matrix as
+        # each row's texts are made as they are written; the whole matrix as
         # nested lists took about 7.7 MiB
-        assert self.correlation_file_peak(tmp_path, "correlation_score.json") <= 2**20
+        assert self.correlation_files_peak(tmp_path) <= 2**20
+        doc = json.loads((tmp_path / "correlation_score.json").read_text())
+        assert len(doc["matrix"]) == 500 and {len(row) for row in doc["matrix"]} == {500}
+
+
+def reference_correlation_files(name, corr, clustering, threshold):
+    """The texts of ``correlation_<name>.csv`` and ``.json`` as written
+    when the matrix rows were lists of floats, each file on its own:
+    ``write_csv`` over float rows with None for undefined values, and
+    ``canonical_json_pieces`` over list rows."""
+    rows = [[None if math.isnan(v) else v for v in row] for row in corr.values.tolist()]
+    with io.StringIO(newline="") as f:
+        write_csv(f, ["problem", *corr.problems], ([p, *row] for p, row in zip(corr.problems, rows)))
+        csv_text = f.getvalue()
+    json_text = "".join(canonical_json_pieces({
+        "measure": name,
+        "problems": list(corr.problems),
+        "matrix": rows,
+        "threshold": threshold,
+        "clusters": [list(c) for c in clustering.clusters],
+        "no_correlation_measure": list(clustering.excluded),
+    }))
+    return csv_text, json_text
+
+
+class TestCorrelationFiles:
+    @pytest.fixture
+    def quoted_stats(self, tmp_path):
+        """A stats file whose problem names need CSV quoting, JSON escaping
+        or are not ASCII, with one problem constant on both measures."""
+        rng = np.random.default_rng(8)
+        problems = {
+            name: {"win": (rng.uniform(0.0, 1.0, 6), np.full(6, 0.3)),
+                   "score": (rng.normal(0.0, 3.0, 6), np.ones(6))}
+            for name in ("a,b", 'g "q"', "été", "p")
+        }
+        problems["flat"] = {"win": (np.full(6, 0.5), np.full(6, 0.3)),
+                            "score": (np.full(6, 2.0), np.ones(6))}
+        return stats_file(tmp_path, full_table(problems))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "csv,json", None])
+    def test_files_match_the_per_file_writer_byte_for_byte(self, quoted_stats, tmp_path, fmt):
+        out = tmp_path / "out"
+        flags = () if fmt is None else ("--format", fmt)
+        assert run("correlate", "--stats", quoted_stats, "--out", out, *flags) == 0
+        formats = ("csv", "json") if fmt is None else fmt.split(",")
+        table = load_stats(quoted_stats)
+        for measure in (Measure.WIN_RATE, Measure.SCORE):
+            corr = correlation_matrix(table, measure)
+            assert np.isnan(corr.values).any()
+            texts = reference_correlation_files(
+                measure.value, corr, cluster(corr, DEFAULT_THRESHOLD), DEFAULT_THRESHOLD)
+            for suffix, text in zip(("csv", "json"), texts):
+                path = out / f"correlation_{measure.value}.{suffix}"
+                if suffix in formats:
+                    assert path.read_bytes() == text.encode("utf-8")
+                else:
+                    assert not path.exists()
+
+    def test_an_unopenable_json_closes_the_csv(self, quoted_stats, tmp_path, capsys):
+        # the JSON's name is taken by a directory, so opening it fails
+        # after the CSV of the same entry was opened; that CSV is closed
+        # (an unclosed file fails the suite through its ResourceWarning)
+        out = tmp_path / "out"
+        (out / "correlation_win.json").mkdir(parents=True)
+        assert run("correlate", "--stats", quoted_stats, "--out", out) == 2
+        assert "correlation_win.json" in capsys.readouterr().err
+        assert (out / "correlation_win.csv").read_text() == ""
+        assert not (out / "correlation_score.csv").exists()
 
 
 class TestExitCodes:

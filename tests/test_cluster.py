@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import infobench
-from conftest import PEARSON_123_124, random_score_table, score_table
+from conftest import PEARSON_123_124, entry, random_score_table, score_table
 from infobench.cluster import CorrelationMatrix, cluster, correlation_matrix
 from infobench.errors import DomainError, InputError
 from infobench.perf import Measure
@@ -24,16 +24,16 @@ def corr_of(vectors, measure=Measure.SCORE):
 class TestCorrelationMatrix:
     def test_perfect_anticorrelation(self):
         corr = corr_of({"g": (1.0, 2.0, 3.0), "h": (3.0, 2.0, 1.0)})
-        assert corr.entry("g", "h") == -1.0
+        assert entry(corr, "g", "h") == -1.0
 
     def test_perfect_correlation(self):
         corr = corr_of({"g": (1.0, 2.0, 3.0), "h": (1.0, 2.0, 3.0)})
-        assert corr.entry("g", "h") == 1.0
+        assert entry(corr, "g", "h") == 1.0
 
     def test_hand_computed_triple(self):
         corr = corr_of({"g": (1.0, 2.0, 3.0), "h": (1.0, 2.0, 4.0)})
-        assert corr.entry("g", "h") == pytest.approx(PEARSON_123_124, abs=1e-12)
-        assert corr.entry("g", "h") == pytest.approx(0.9820, abs=1e-4)
+        assert entry(corr, "g", "h") == pytest.approx(PEARSON_123_124, abs=1e-12)
+        assert entry(corr, "g", "h") == pytest.approx(0.9820, abs=1e-4)
 
     def test_symmetric_with_unit_diagonal(self):
         rng = np.random.default_rng(3)
@@ -110,8 +110,8 @@ class TestCorrelationMatrix:
         )
         win = correlation_matrix(table, Measure.WIN_RATE)
         score = correlation_matrix(table, Measure.SCORE)
-        assert win.entry("g", "h") == 1.0
-        assert score.entry("g", "h") == -1.0
+        assert entry(win, "g", "h") == 1.0
+        assert entry(score, "g", "h") == -1.0
 
 
 def two_block_vectors():
